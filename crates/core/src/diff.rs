@@ -19,6 +19,15 @@
 //! copies the core's committed read value into the ISS register at the
 //! retire of such a read, and excludes counter CSRs from the end-of-test
 //! comparison. Everything downstream of the read is still checked.
+//!
+//! The oracle pays only for what feeds a verdict. The ISS starts from a
+//! copy-on-write fork of the core's freshly built memory image, so every
+//! page neither machine writes stays physically shared. The end-of-test
+//! memory compare is page-granular: it skips pages the two machines still
+//! share, compares the rest as whole pages, and still names the first
+//! differing byte. Trace events are not buffered under the oracle (it never
+//! reads them), and the retired instruction is rendered as text only when a
+//! divergence is reported.
 
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +89,19 @@ pub enum FaultInjection {
         reg: Reg,
         /// Bits to flip.
         xor: u64,
+    },
+    /// XOR the byte at physical address `addr` in the core's memory
+    /// immediately after the `at_retire`-th retirement. Aimed at a page
+    /// the case never writes, the flip lands while the page is still
+    /// copy-on-write shared with the ISS, so the end-of-test memory
+    /// compare must see through sharing to catch it.
+    CorruptMemory {
+        /// 1-based retirement ordinal after which the corruption lands.
+        at_retire: u64,
+        /// Physical byte address to corrupt.
+        addr: u64,
+        /// Bits to flip.
+        xor: u8,
     },
 }
 
@@ -327,32 +349,37 @@ pub fn diff_case(
                 .into(),
         });
     }
-    // Building is deterministic, so a second build hands us the exact
-    // memory image the core starts from.
+    // The ISS starts from a copy-on-write fork of the core's freshly built
+    // memory image: identical bytes, and every page neither machine writes
+    // stays shared, which the end-of-test compare skips.
     let mut platform = build_platform(tc, cfg)?;
-    let iss_mem = build_platform(tc, cfg)?.core.mem;
+    let iss_mem = platform.core.mem.clone();
     let mut iss = Iss::new(iss_mem, layout::SM_BASE).with_hpm_counters(cfg.hpm_counters);
 
     let core = &mut platform.core;
     core.set_retire_probe(true);
+    // The oracle never reads trace events; keep the stats, drop the buffer.
+    core.trace.set_buffering(false);
     let limit = opts.max_cycles.unwrap_or(tc.max_cycles);
     let stride = opts.stride.max(1);
     let mut retires = 0u64;
     let mut last_swept = 0u64;
     let mut last_pc = layout::SM_BASE;
-    let mut last_inst = String::from("<reset>");
+    let mut last_inst: Option<Inst> = None;
+    let mut batch = Vec::new();
 
     while !core.halted && core.cycle < limit {
         core.step();
-        for ev in core.take_retired_log() {
+        core.swap_retired_log(&mut batch);
+        for ev in &batch {
             retires += 1;
             last_pc = ev.pc;
-            last_inst = format!("{:?}", ev.inst);
+            last_inst = Some(ev.inst);
             let Some(step) = iss.step_retire(TRAP_FUSE) else {
                 return Ok(diverged(
                     retires,
                     ev.pc,
-                    &ev.inst,
+                    last_inst,
                     DivergenceKind::IssStalled,
                     core,
                     &iss,
@@ -363,7 +390,7 @@ pub fn diff_case(
                     core_pc: ev.pc,
                     iss_pc: step.pc,
                 };
-                return Ok(diverged(retires, ev.pc, &ev.inst, kind, core, &iss));
+                return Ok(diverged(retires, ev.pc, last_inst, kind, core, &iss));
             }
             if let (Some(rd), Some(v)) = (ev.inst.dest(), ev.result) {
                 if is_uarch_defined_csr_read(&ev.inst) {
@@ -377,19 +404,27 @@ pub fn diff_case(
                         core_value: v,
                         iss_value: iss.reg(rd),
                     };
-                    return Ok(diverged(retires, ev.pc, &ev.inst, kind, core, &iss));
+                    return Ok(diverged(retires, ev.pc, last_inst, kind, core, &iss));
                 }
             }
-            if let Some(FaultInjection::CorruptArchReg {
-                at_retire,
-                reg,
-                xor,
-            }) = opts.fault
-            {
-                if retires == at_retire {
+            match opts.fault {
+                Some(FaultInjection::CorruptArchReg {
+                    at_retire,
+                    reg,
+                    xor,
+                }) if retires == at_retire => {
                     let v = core.reg(reg);
                     core.set_reg(reg, v ^ xor);
                 }
+                Some(FaultInjection::CorruptMemory {
+                    at_retire,
+                    addr,
+                    xor,
+                }) if retires == at_retire => {
+                    let v = core.mem.read_u8(addr);
+                    core.mem.write_u8(addr, v ^ xor);
+                }
+                _ => {}
             }
         }
         // Full register-file sweep at stride boundaries. This runs only
@@ -398,7 +433,7 @@ pub fn diff_case(
         if retires >= last_swept + stride {
             last_swept = retires;
             if let Some(kind) = regfile_mismatch(core, &iss) {
-                return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+                return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
             }
         }
     }
@@ -416,10 +451,10 @@ pub fn diff_case(
             core_halted: true,
             iss_halted: false,
         };
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+        return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
     }
     if let Some(kind) = regfile_mismatch(core, &iss) {
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+        return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
     }
     if let Some(addr) = core.mem.first_difference(&iss.mem) {
         let kind = DivergenceKind::Memory {
@@ -427,7 +462,7 @@ pub fn diff_case(
             core_byte: core.mem.read_u8(addr),
             iss_byte: iss.mem.read_u8(addr),
         };
-        return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+        return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
     }
     let csrs: [(&str, u64, u64); 5] = [
         ("mcause", core.csr.mcause, iss.csr.mcause),
@@ -443,7 +478,7 @@ pub fn diff_case(
                 core_value: a,
                 iss_value: b,
             };
-            return Ok(diverged_at(retires, last_pc, last_inst, kind, core, &iss));
+            return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
         }
     }
     Ok(DiffVerdict::Match {
@@ -465,21 +500,13 @@ fn regfile_mismatch(core: &Core, iss: &Iss) -> Option<DivergenceKind> {
     None
 }
 
+/// Builds the divergence report. `inst` is the last retired instruction
+/// (`None` before the first retire) and is rendered only here, so clean
+/// runs never format an instruction.
 fn diverged(
     retire_seq: u64,
     pc: u64,
-    inst: &Inst,
-    kind: DivergenceKind,
-    core: &Core,
-    iss: &Iss,
-) -> DiffVerdict {
-    diverged_at(retire_seq, pc, format!("{inst:?}"), kind, core, iss)
-}
-
-fn diverged_at(
-    retire_seq: u64,
-    pc: u64,
-    inst: String,
+    inst: Option<Inst>,
     kind: DivergenceKind,
     core: &Core,
     iss: &Iss,
@@ -487,7 +514,7 @@ fn diverged_at(
     DiffVerdict::Diverged(Divergence {
         retire_seq,
         pc,
-        inst,
+        inst: inst.map_or_else(|| "<reset>".into(), |i| format!("{i:?}")),
         kind,
         core: core_state(core),
         iss: iss_state(iss),

@@ -123,7 +123,9 @@ pub struct TraceReport {
     pub critical_path: Vec<CriticalHop>,
     /// Per-phase attribution, [`PHASE_ORDER`] first then extras.
     pub phases: Vec<PhaseStat>,
-    /// Per-worker utilization, by worker index.
+    /// Per-worker utilization, by worker index: one row per worker that
+    /// recorded a `worker` or `case` span, including a worker that ran no
+    /// case.
     pub workers: Vec<WorkerStat>,
     /// The top-N longest cases, longest first.
     pub stragglers: Vec<Straggler>,
@@ -186,8 +188,14 @@ pub(crate) fn analyze(trace: &Trace, top_n: usize) -> TraceReport {
         })
         .collect();
 
-    // Worker utilization and starvation over the traced window.
-    let mut worker_ids: Vec<usize> = cases.iter().map(|s| s.worker).collect();
+    // Worker utilization and starvation over the traced window. An engine
+    // worker that never won a case still recorded its `worker` span, and
+    // gets a row: fully idle, starved for the whole window.
+    let mut worker_ids: Vec<usize> = spans
+        .iter()
+        .filter(|s| s.name == "worker" || s.name == "case")
+        .map(|s| s.worker)
+        .collect();
     worker_ids.sort_unstable();
     worker_ids.dedup();
     let mut workers = Vec::new();
@@ -509,6 +517,28 @@ mod tests {
         let w1 = &r.workers[1];
         assert_eq!(w1.busy_ratio_ppm, 1_000_000);
         assert_eq!(w1.starved_intervals, 0);
+    }
+
+    #[test]
+    fn a_worker_that_ran_no_case_still_gets_an_idle_row() {
+        let mut trace = sample_trace();
+        trace.spans.push(Span {
+            id: 10,
+            parent: 0,
+            worker: 2,
+            name: "worker".into(),
+            start_us: 0,
+            dur_us: 100,
+            args: vec![],
+        });
+        let r = trace.analyze(2);
+        assert_eq!(r.workers.len(), 3);
+        let w2 = &r.workers[2];
+        assert_eq!((w2.worker, w2.cases, w2.busy_us), (2, 0, 0));
+        assert_eq!(w2.busy_ratio_ppm, 0);
+        assert_eq!(w2.starved_intervals, 1);
+        assert_eq!(w2.starved_us, 40_000);
+        assert_eq!(r.critical_worker, 1, "an idle worker is never critical");
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub struct Core {
     /// restored at `mret` unless firmware wrote MDOMAIN meanwhile.
     domain_before_trap: Option<Domain>,
     /// Retire probe: when on, every architectural commit is appended to
-    /// `retire_log` for [`Core::take_retired_log`].
+    /// `retire_log` for [`Core::swap_retired_log`].
     retire_probe: bool,
     retire_log: Vec<RetiredInst>,
     /// Fetch fence: when the fetch stage is about to fetch this PC, it
@@ -388,7 +388,7 @@ impl Core {
     }
 
     /// Turns the retire probe on or off. While on, every architectural
-    /// commit is recorded; drain the log with [`Core::take_retired_log`]
+    /// commit is recorded; drain the log with [`Core::swap_retired_log`]
     /// (ideally every cycle — the log grows unboundedly otherwise).
     pub fn set_retire_probe(&mut self, on: bool) {
         self.retire_probe = on;
@@ -397,10 +397,14 @@ impl Core {
         }
     }
 
-    /// Drains the retire log recorded since the last call (empty unless
-    /// [`Core::set_retire_probe`] enabled the probe).
-    pub fn take_retired_log(&mut self) -> Vec<RetiredInst> {
-        std::mem::take(&mut self.retire_log)
+    /// Moves the retire log recorded since the last call into `buf`
+    /// (empty unless [`Core::set_retire_probe`] enabled the probe),
+    /// discarding `buf`'s previous contents. The two vectors trade
+    /// allocations, so a driver that passes the same `buf` every cycle
+    /// allocates nothing once both have grown to the widest retire batch.
+    pub fn swap_retired_log(&mut self, buf: &mut Vec<RetiredInst>) {
+        buf.clear();
+        std::mem::swap(buf, &mut self.retire_log);
     }
 
     /// The architectural value of register `r`.

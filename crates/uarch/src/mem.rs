@@ -183,24 +183,39 @@ impl Memory {
     }
 
     /// The first byte address at which `self` and `other` differ, scanning
-    /// the union of both memories' backed pages.
+    /// the union of both memories' backed pages in ascending order.
+    ///
+    /// The comparison is page-granular: a page both sides still share
+    /// through copy-on-write holds identical bytes and is skipped without
+    /// reading it; any other page is compared as one 4 KiB slice (an
+    /// unbacked side reads as the zero page), and only the first unequal
+    /// page is scanned for its first differing byte.
     pub fn first_difference(&self, other: &Memory) -> Option<u64> {
-        let mut pages: Vec<u64> = self
-            .page_base_addrs()
-            .into_iter()
-            .chain(other.page_base_addrs())
+        static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+        let mut keys: Vec<u64> = self
+            .pages
+            .keys()
+            .chain(other.pages.keys())
+            .copied()
             .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        for base in pages {
-            for off in 0..PAGE_SIZE {
-                let a = base + off;
-                if self.read_u8(a) != other.read_u8(a) {
-                    return Some(a);
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().find_map(|key| {
+            let a = self.pages.get(&key).map(|s| &s.data);
+            let b = other.pages.get(&key).map(|s| &s.data);
+            if let (Some(a), Some(b)) = (a, b) {
+                if Arc::ptr_eq(a, b) {
+                    return None;
                 }
             }
-        }
-        None
+            let a = a.map_or(&ZERO_PAGE, |p| &**p);
+            let b = b.map_or(&ZERO_PAGE, |p| &**p);
+            if a == b {
+                return None;
+            }
+            let off = a.iter().zip(b).position(|(x, y)| x != y)?;
+            Some(key * PAGE_SIZE + off as u64)
+        })
     }
 }
 

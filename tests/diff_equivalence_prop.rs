@@ -43,9 +43,11 @@ fn assert_lockstep_equivalence(seed: u64, branchy: bool, cfg: &CoreConfig) -> Re
     let mut iss = Iss::new(mem_iss, BASE);
 
     let mut retires = 0u64;
+    let mut batch = Vec::new();
     while !core.halted && core.cycle < 500_000 {
         core.step();
-        for ev in core.take_retired_log() {
+        core.swap_retired_log(&mut batch);
+        for ev in &batch {
             retires += 1;
             let step = iss
                 .step_retire(64)
