@@ -35,11 +35,11 @@ fn run_on(cfg: &CoreConfig) {
     let mut secrets = tc.secrets.clone();
     secrets.reindex();
     let mut residual = 0;
-    for (i, e) in outcome.platform.core.lsu.lfb.entries().iter().enumerate() {
+    for (i, e) in outcome.platform.core.lsu.lfb.entries().enumerate() {
         if !e.valid || e.state != LfbState::Filled {
             continue;
         }
-        let hits = secrets.scan_bytes(&e.data);
+        let hits = secrets.scan_bytes(e.data);
         println!(
             "    entry {i}: line {:#x} purpose {:?} filled at cycle {} — {} secret word(s)",
             e.line_addr,

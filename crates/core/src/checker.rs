@@ -159,7 +159,7 @@ pub(crate) fn scan_snapshot(
         if !entry.valid {
             continue;
         }
-        for (off, rec) in secrets.scan_bytes(&entry.data) {
+        for (off, rec) in secrets.scan_bytes(entry.data) {
             if authorized(rec.owner, observer) {
                 continue;
             }
@@ -184,15 +184,12 @@ pub(crate) fn scan_snapshot(
     }
 
     // Cache residuals: enclave lines that were never flushed.
-    for (structure, lines) in [
-        (
-            Structure::L1d,
-            core.lsu.l1d.valid_lines().collect::<Vec<_>>(),
-        ),
-        (Structure::L2, core.lsu.l2.valid_lines().collect::<Vec<_>>()),
+    for (structure, cache) in [
+        (Structure::L1d, &core.lsu.l1d),
+        (Structure::L2, &core.lsu.l2),
     ] {
-        for line in lines {
-            for (off, rec) in secrets.scan_bytes(&line.data) {
+        for line in cache.valid_lines() {
+            for (off, rec) in secrets.scan_bytes(line.data) {
                 if authorized(rec.owner, observer) {
                     continue;
                 }

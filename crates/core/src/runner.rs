@@ -348,7 +348,7 @@ impl SnapshotCache {
                     (&self.hits, BuildKind::BootForked)
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                Ok((case_builder(tc, cfg).build_from(&snap)?, kind))
+                Ok((build_platform_from(tc, cfg, &snap)?, kind))
             }
             _ => {
                 self.bypasses.fetch_add(1, Ordering::Relaxed);
@@ -394,6 +394,8 @@ impl SnapshotCache {
         // run's first `at - 1` cycles: the interrupt only asserts from
         // cycle `at` onward.
         platform.run(at - 1);
+        // Sibling forks share the prefix's cache lines copy-on-write.
+        platform.core.share_storage();
         if platform.core.fast_path() {
             // Freeze the setup prefix: sibling forks share it by
             // refcount instead of deep-copying the event buffer.
@@ -436,13 +438,7 @@ impl SnapshotCache {
             map.entry(key)
                 .or_insert_with(|| {
                     fresh_capture = true;
-                    PlatformSnapshot::capture(
-                        cfg.clone(),
-                        &sm_options_for(tc, cfg),
-                        host_vm_for(tc),
-                    )
-                    .ok()
-                    .map(Arc::new)
+                    capture_boot_snapshot(tc, cfg).ok().map(Arc::new)
                 })
                 .clone()
         };
@@ -519,6 +515,36 @@ fn sm_options_for(tc: &TestCase, cfg: &CoreConfig) -> SmOptions {
 /// Propagates [`BuildError`] exactly as [`run_case`] does.
 pub fn build_platform(tc: &TestCase, cfg: &CoreConfig) -> Result<Platform, BuildError> {
     case_builder(tc, cfg).build()
+}
+
+/// Captures the boot snapshot `tc` forks from on `cfg`: the SM image and
+/// host page tables `tc`'s setup knobs select, booted up to the first host
+/// fetch. [`SnapshotCache`] keeps one per configuration.
+///
+/// # Errors
+///
+/// Propagates [`BuildError`] from [`PlatformSnapshot::capture`].
+pub fn capture_boot_snapshot(
+    tc: &TestCase,
+    cfg: &CoreConfig,
+) -> Result<PlatformSnapshot, BuildError> {
+    PlatformSnapshot::capture(cfg.clone(), &sm_options_for(tc, cfg), host_vm_for(tc))
+}
+
+/// Lowers `tc` onto a fork of `snap` without running it. `snap` must come
+/// from [`capture_boot_snapshot`] for a case with the same setup knobs, and
+/// any external interrupt of `tc` must fall after the boot prefix; the
+/// fork then runs cycle-for-cycle like [`build_platform`]'s fresh build.
+///
+/// # Errors
+///
+/// Propagates [`BuildError`] exactly as [`run_case`] does.
+pub fn build_platform_from(
+    tc: &TestCase,
+    cfg: &CoreConfig,
+    snap: &PlatformSnapshot,
+) -> Result<Platform, BuildError> {
+    case_builder(tc, cfg).build_from(snap)
 }
 
 /// Lowers `tc` into a configured [`PlatformBuilder`], ready for either

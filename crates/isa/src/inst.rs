@@ -796,8 +796,8 @@ impl Inst {
     }
 
     /// Source registers read by the instruction (zero register excluded).
-    pub fn sources(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
+    pub fn sources(self) -> Sources {
+        let mut v = Sources::default();
         match self {
             Inst::Jalr { rs1, .. } | Inst::Load { rs1, .. } | Inst::AluImm { rs1, .. } => {
                 v.push(rs1)
@@ -814,8 +814,43 @@ impl Inst {
             } => v.push(r),
             _ => {}
         }
-        v.retain(|r| !r.is_zero());
         v
+    }
+}
+
+/// The source registers of one instruction ([`Inst::sources`]): at most
+/// two, stored inline so the pipeline's per-cycle readiness scans never
+/// allocate. Derefs to `[Reg]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sources {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Sources {
+    /// Appends `r` unless it is the zero register.
+    fn push(&mut self, r: Reg) {
+        if !r.is_zero() {
+            self.regs[self.len as usize] = r;
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for Sources {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Sources {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
     }
 }
 
@@ -1058,7 +1093,7 @@ mod tests {
             offset: 0,
         };
         assert_eq!(ld.dest(), Some(Reg::A5));
-        assert_eq!(ld.sources(), vec![Reg::A4]);
+        assert_eq!(*ld.sources(), [Reg::A4]);
         let st = Inst::Store {
             width: MemWidth::D,
             rs2: Reg::A5,
@@ -1066,7 +1101,7 @@ mod tests {
             offset: 0,
         };
         assert_eq!(st.dest(), None);
-        assert_eq!(st.sources(), vec![Reg::A4, Reg::A5]);
+        assert_eq!(*st.sources(), [Reg::A4, Reg::A5]);
         // x0 destination is no destination.
         let nop = Inst::AluImm {
             op: AluOp::Add,

@@ -338,7 +338,8 @@ fn load_enclaves(
 /// tables are built, and the boot sequence has been simulated up to — but
 /// not including — the first host instruction fetch. Forking a case from a
 /// snapshot ([`PlatformBuilder::build_from`]) shares all of that work;
-/// thanks to the copy-on-write [`Memory`] the fork itself is cheap.
+/// thanks to the copy-on-write [`Memory`] and cache lines (shared at
+/// capture, see [`Core::share_storage`]) the fork itself is cheap.
 ///
 /// The capture point is a fetch fence at [`layout::HOST_BASE`]: the `mret`
 /// into the host has committed, PMP/CSR state is programmed, and fetch is
@@ -376,6 +377,8 @@ impl PlatformSnapshot {
             return Err(BuildError::SnapshotBoot);
         }
         let boot_cycles = core.cycle;
+        // Forks share the boot-time cache lines copy-on-write.
+        core.share_storage();
         if core.fast_path() {
             // Dirty-delta storage: freeze the boot prefix so every fork
             // shares it by refcount and only logs its own delta.
@@ -403,6 +406,11 @@ impl PlatformSnapshot {
         self.capture_us
     }
 
+    /// The booted core every fork starts from.
+    pub fn core(&self) -> &Core {
+        &self.core
+    }
+
     /// The boot-prefix trace events a fork starts with (replayed into a
     /// streaming sink before live events arrive).
     pub fn boot_events(&self) -> impl Iterator<Item = &teesec_uarch::trace::TraceEvent> {
@@ -415,7 +423,8 @@ impl PlatformSnapshot {
 /// Cloning is copy-on-write at page granularity (see [`Memory`]): a clone
 /// shares every backed page with the original, so checkpoint/fork schemes
 /// can duplicate a mid-run platform for the cost of the core's registers
-/// and per-page pointers.
+/// and per-page pointers. Cache lines are shared the same way once
+/// [`Core::share_storage`] has run on the original.
 #[derive(Debug, Clone)]
 pub struct Platform {
     /// The simulated core (trace, caches and CSRs are reachable through it).

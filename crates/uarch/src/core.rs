@@ -305,6 +305,15 @@ impl Core {
         self.fast_path
     }
 
+    /// Marks the L1I, L1D and L2 line storage shared, so clones taken from
+    /// now on share it copy-on-write (see [`crate::cache`]). Call at
+    /// snapshot points; observable state is unchanged.
+    pub fn share_storage(&mut self) {
+        self.l1i.share();
+        self.lsu.l1d.share();
+        self.lsu.l2.share();
+    }
+
     /// Fast-path effectiveness counters (zeroes when the fast path never
     /// ran; decode stats reset on `Clone`, see [`DecodeCache`]).
     pub fn fast_path_stats(&self) -> FastPathStats {
@@ -446,9 +455,7 @@ impl Core {
                 Structure::L1d => count_valid(self.lsu.l1d.valid_lines().count()),
                 Structure::L1i => count_valid(self.l1i.valid_lines().count()),
                 Structure::L2 => count_valid(self.lsu.l2.valid_lines().count()),
-                Structure::Lfb => {
-                    count_valid(self.lsu.lfb.entries().iter().filter(|e| e.valid).count())
-                }
+                Structure::Lfb => count_valid(self.lsu.lfb.entries().filter(|e| e.valid).count()),
                 // The store queue is ROB-resident; it is empty whenever the
                 // pipeline is (any finished run).
                 Structure::StoreQueue => 0,
@@ -1742,7 +1749,7 @@ impl Core {
             let line_addr = self.l1i.line_addr(pa);
             let mut data = vec![0u8; self.config.line_size as usize];
             self.mem.read_bytes(line_addr, &mut data);
-            self.l1i.fill(line_addr, data.clone(), self.domain);
+            self.l1i.fill(line_addr, &data, self.domain);
             let (cycle, priv_level, domain) = (self.cycle, self.priv_level, self.domain);
             self.trace.record(TraceEvent {
                 cycle,

@@ -23,7 +23,7 @@ proptest! {
         let mut model: HashMap<u64, u8> = HashMap::new();
         for (line_idx, byte) in ops {
             let line_addr = line_idx * 64;
-            cache.fill(line_addr, vec![byte; 64], Domain::Untrusted);
+            cache.fill(line_addr, &[byte; 64], Domain::Untrusted);
             model.insert(line_addr, byte);
             // Whatever is still resident must match the model.
             for (&la, &b) in &model {
@@ -44,7 +44,7 @@ proptest! {
         len in prop::sample::select(vec![1u64, 2, 4, 8]),
     ) {
         let mut cache = Cache::new(2, 2, 64);
-        cache.fill(0x1000, vec![0xAA; 64], Domain::Untrusted);
+        cache.fill(0x1000, &[0xAA; 64], Domain::Untrusted);
         let off = off / len * len; // align to the width
         prop_assert!(cache.write(0x1000 + off, value, len));
         let mask = if len == 8 { u64::MAX } else { (1 << (len * 8)) - 1 };
@@ -78,7 +78,7 @@ proptest! {
             } else {
                 // Saturated: complete the oldest to make room.
                 let (idx, la) = pending.remove(0);
-                lfb.complete(idx, vec![0x5A; 64], Domain::Enclave(0), 1);
+                lfb.complete(idx, &[0x5A; 64], Domain::Enclave(0), 1);
                 prop_assert!(lfb.pending_for(la).is_none());
                 // Residual data persists after completion.
                 prop_assert!(lfb.entry(idx).valid);
