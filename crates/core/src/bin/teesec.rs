@@ -9,7 +9,7 @@
 //! teesec explain <gadget> [--design D] [--json]  # leak provenance chains
 //! teesec campaign [--design D] [--cases N] [--output FILE]
 //!                 [--events FILE] [--metrics-out FILE] [--diff]
-//!                 [--streaming on|off] [--snapshot-cache on|off]
+//!                 [--snapshot-cache on|off]
 //!                 [--trace-out FILE]       # Perfetto span trace
 //!                 [--serve ADDR]           # live /metrics /events /status ...
 //!                 [--checkpoint-every N]   # atomic partial metrics snapshots
@@ -59,7 +59,7 @@ fn usage() -> ExitCode {
          teesec explain <access-gadget> [--design boom|xiangshan] [--json]\n  \
          teesec campaign [--design boom|xiangshan] [--cases N] [--threads N] [--output FILE]\n  \
          \x20               [--events FILE] [--metrics-out FILE] [--case-cycle-budget N] [--quiet] [--diff]\n  \
-         \x20               [--streaming on|off] [--snapshot-cache on|off]  (both default on)\n  \
+         \x20               [--snapshot-cache on|off]  (default on)\n  \
          \x20               [--trace-out FILE] [--serve ADDR] [--serve-linger SECS]\n  \
          \x20               [--checkpoint-every N]  (0 disables; rides --metrics-out)\n  \
          teesec matrix [--cases N]\n  \
@@ -90,7 +90,6 @@ struct Opts {
     case_cycle_budget: Option<u64>,
     quiet: bool,
     diff: bool,
-    streaming: bool,
     snapshot_cache: bool,
     stride: u64,
     seeds: usize,
@@ -130,7 +129,6 @@ fn parse(args: &[String]) -> Option<Opts> {
         case_cycle_budget: None,
         quiet: false,
         diff: false,
-        streaming: true,
         snapshot_cache: true,
         stride: 1,
         seeds: 6,
@@ -194,10 +192,6 @@ fn parse(args: &[String]) -> Option<Opts> {
             }
             "--quiet" => o.quiet = true,
             "--diff" => o.diff = true,
-            "--streaming" => {
-                i += 1;
-                o.streaming = parse_onoff(args.get(i)?)?;
-            }
             "--snapshot-cache" => {
                 i += 1;
                 o.snapshot_cache = parse_onoff(args.get(i)?)?;
@@ -645,7 +639,7 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
             stride: opts.stride,
             ..DiffOptions::default()
         }),
-        streaming: opts.streaming,
+        streaming: true,
         snapshot_cache: opts.snapshot_cache,
         coverage: true,
         fast_path: None, // process default: TEESEC_FASTPATH
@@ -1023,7 +1017,7 @@ fn cmd_coverage_report(opts: &Opts) -> ExitCode {
         EngineOptions {
             threads: opts.threads,
             progress: false,
-            streaming: opts.streaming,
+            streaming: true,
             snapshot_cache: opts.snapshot_cache,
             coverage: true,
             tracer: if opts.serve.is_some() {

@@ -2,13 +2,19 @@
 //! microarchitectural snapshot for violations of the two security
 //! principles, classifying each finding into the paper's D1–D8 / M1–M2
 //! cases (paper §4.3).
+//!
+//! There is one checking algorithm, the [`StreamingChecker`]. Batch
+//! checking ([`check_case`]) replays a run's buffered trace into one after
+//! the run; this module holds the classification helpers and the
+//! end-of-run snapshot scan it uses.
 
 use teesec_uarch::config::CoreConfig;
-use teesec_uarch::trace::{Domain, FillPurpose, Structure};
+use teesec_uarch::trace::{Domain, FillPurpose, Structure, TraceSink};
 
 use crate::report::{CheckReport, Finding, LeakClass, Principle};
 use crate::runner::RunOutcome;
 use crate::secret::SecretCatalog;
+use crate::stream::StreamingChecker;
 use crate::testcase::TestCase;
 
 /// `true` when `observer` is allowed to see data owned by `owner`.
@@ -69,78 +75,36 @@ pub(crate) fn finding_key(f: &Finding) -> String {
     )
 }
 
-/// Runs the full analysis for one executed test case.
-///
-/// The trace scan is the same state machine the streaming checker runs
-/// online ([`crate::stream::StreamingChecker`]) — batch drives it over the
-/// buffered trace here, so both pipelines yield identical findings by
-/// construction.
+/// Runs the full analysis for one executed test case: replays the
+/// buffered trace into a [`StreamingChecker`] and finishes it, so batch
+/// and online checking are one algorithm by construction.
 pub fn check_case(tc: &TestCase, outcome: &RunOutcome, cfg: &CoreConfig) -> CheckReport {
-    check_case_inner(tc, outcome, cfg, false).0
+    replay(StreamingChecker::new(tc, cfg), outcome).finish(tc, outcome)
 }
 
 /// [`check_case`] with plan-coverage recording on: additionally returns
-/// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record —
-/// byte-identical to what the streaming pipeline's
-/// [`StreamingChecker::finish_coverage`](crate::stream::StreamingChecker::finish_coverage)
-/// produces, because both drive the same [`ScanState`](crate::stream::ScanState).
+/// the case's [`CaseCoverage`](crate::coverage::CaseCoverage) record.
 pub fn check_case_coverage(
     tc: &TestCase,
     outcome: &RunOutcome,
     cfg: &CoreConfig,
 ) -> (CheckReport, crate::coverage::CaseCoverage) {
-    let (report, coverage) = check_case_inner(tc, outcome, cfg, true);
+    let (report, coverage) =
+        replay(StreamingChecker::with_coverage(tc, cfg), outcome).finish_coverage(tc, outcome);
     (report, coverage.expect("coverage recording was enabled"))
 }
 
-fn check_case_inner(
-    tc: &TestCase,
-    outcome: &RunOutcome,
-    cfg: &CoreConfig,
-    record_coverage: bool,
-) -> (CheckReport, Option<crate::coverage::CaseCoverage>) {
-    let mut secrets = tc.secrets.clone();
-    secrets.reindex();
-
-    let counters = outcome.platform.core.config.hpm_counters;
-    let mut scan = crate::stream::ScanState::new(tc.mcounteren, counters, secrets.clone());
-    if record_coverage {
-        scan.enable_coverage();
-    }
+/// Feeds `outcome`'s buffered trace through `checker`, in trace order.
+pub(crate) fn replay(mut checker: StreamingChecker, outcome: &RunOutcome) -> StreamingChecker {
     for e in outcome.platform.core.trace.iter_events() {
-        scan.on_event(e);
+        checker.on_event(e);
     }
-    let (mut findings, mut dedup, mut coverage) = scan.into_findings();
-
-    let snapshot_from = findings.len();
-    let mut push = |findings: &mut Vec<Finding>, f: Finding| {
-        if dedup.insert(finding_key(&f)) {
-            findings.push(f);
-        }
-    };
-    scan_snapshot(tc, outcome, &secrets, &mut findings, &mut push);
-    if let Some(cov) = coverage.as_mut() {
-        for f in &findings[snapshot_from..] {
-            cov.record_detection(f);
-        }
-    }
-
-    let mut report = CheckReport {
-        case: tc.name.clone(),
-        path: tc.path,
-        design: cfg.name.clone(),
-        findings,
-        provenance: Vec::new(),
-    };
-    crate::provenance::annotate(&mut report, outcome, &secrets);
-    let case_coverage = coverage.map(|cov| cov.finish(&report));
-    (report, case_coverage)
+    checker
 }
 
-/// Scans the end-of-run microarchitectural snapshot for residues
-/// (shared by the batch pipeline and the streaming checker's finalize).
+/// Scans the end-of-run microarchitectural snapshot for residues (the
+/// streaming checker's finalize step).
 pub(crate) fn scan_snapshot(
-    tc: &TestCase,
     outcome: &RunOutcome,
     secrets: &SecretCatalog,
     findings: &mut Vec<Finding>,
@@ -265,7 +229,6 @@ pub(crate) fn scan_snapshot(
             }
         }
     }
-    let _ = tc;
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! declared path. This module closes that accountability gap:
 //!
 //! * [`CoverageTracker`] rides inside the checker's
-//!   [`ScanState`](crate::stream::ScanState) (batch *and* streaming, so
-//!   coverage output is identical by construction) and records which
+//!   [`ScanState`](crate::stream::ScanState) (batch checking replays the
+//!   trace into the same checker, so coverage output is identical by
+//!   construction) and records which
 //!   (structure, transition point, observer privilege) cells each case
 //!   exercised and which leak classes were detected there;
 //! * [`CaseCoverage`] is the per-case record — carried on the JSONL event
@@ -191,8 +192,8 @@ pub struct CaseCoverage {
 }
 
 /// The online per-case coverage recorder, carried by the checker's
-/// [`ScanState`](crate::stream::ScanState) so batch and streaming runs
-/// record identical coverage by construction.
+/// [`ScanState`](crate::stream::ScanState), which online and replayed
+/// checking share, so both record identical coverage by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct CoverageTracker {
     domain: Domain,

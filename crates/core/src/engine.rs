@@ -38,7 +38,7 @@ use teesec_uarch::introspect::StorageInventory;
 use teesec_uarch::{FastPathStats, RunExit, StructureCounters, UarchCounters};
 
 use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
-use crate::checker::{check_case, check_case_coverage};
+use crate::checker::replay;
 use crate::coverage::{CaseCoverage, PlanCoverage};
 use crate::diff::{diff_case, DiffOptions, DiffVerdict};
 use crate::report::CheckReport;
@@ -70,10 +70,10 @@ pub struct EngineOptions {
     /// [`DiffMetrics`] into [`EngineMetrics::diff`]. Off by default:
     /// diffing re-simulates each case on both machines.
     pub diff: Option<DiffOptions>,
-    /// Check each case *online* with a [`StreamingChecker`] fed from a
-    /// trace sink, with trace buffering disabled — same report as the
-    /// batch pipeline (proven by the `stream_equivalence` suite), but peak
-    /// retained trace events stay O(boot prefix) instead of O(cycles).
+    /// Run each case's [`StreamingChecker`] *online* as a trace sink, with
+    /// trace buffering disabled, instead of replaying the buffered trace
+    /// into it after the run. Same checker, same report; peak retained
+    /// trace events stay O(boot prefix) instead of O(cycles).
     pub streaming: bool,
     /// Record per-case plan coverage (the structure × transition ×
     /// observer matrix) and secret-residency windows, emitting one
@@ -641,12 +641,22 @@ pub(crate) struct ExecOptions<'c> {
     pub case_span: u64,
 }
 
+/// A fresh checker for `tc`, recording plan coverage iff `coverage`.
+fn new_checker(tc: &TestCase, cfg: &CoreConfig, coverage: bool) -> StreamingChecker {
+    if coverage {
+        StreamingChecker::with_coverage(tc, cfg)
+    } else {
+        StreamingChecker::new(tc, cfg)
+    }
+}
+
 /// Builds, simulates, and checks `tc`, quarantining build errors and
 /// panics into `CaseResult::error` instead of propagating them. When
 /// `opts.counters` is set, the finished core's microarchitectural counter
-/// digest is harvested into [`CaseExecution::counters`]. With
-/// `opts.streaming`, checking happens online in a trace sink and the
-/// check phase shrinks to the finalize step.
+/// digest is harvested into [`CaseExecution::counters`]. Every case is
+/// checked by one [`StreamingChecker`]: with `opts.streaming` it runs
+/// online as the trace sink and the check phase shrinks to the finalize
+/// step; otherwise the buffered trace is replayed into it after the run.
 pub(crate) fn execute_case(
     tc: &TestCase,
     cfg: &CoreConfig,
@@ -688,13 +698,9 @@ pub(crate) fn execute_case(
             RunOptions {
                 budget: opts.budget,
                 snapshot_cache: opts.snapshot_cache,
-                sink: opts.streaming.then(|| {
-                    Box::new(if opts.coverage {
-                        StreamingChecker::with_coverage(tc, cfg)
-                    } else {
-                        StreamingChecker::new(tc, cfg)
-                    }) as _
-                }),
+                sink: opts
+                    .streaming
+                    .then(|| Box::new(new_checker(tc, cfg, opts.coverage)) as _),
                 buffer_trace: !opts.streaming,
                 fast_path: opts.fast_path,
                 trace: tctx,
@@ -717,13 +723,12 @@ pub(crate) fn execute_case(
         .trace
         .take_sink()
         .and_then(|s| s.into_any().downcast::<StreamingChecker>().ok());
-    let (report, coverage) = match catch_unwind(AssertUnwindSafe(|| match streamed {
-        Some(checker) => checker.finish_coverage(tc, &outcome),
-        None if opts.coverage => {
-            let (report, cc) = check_case_coverage(tc, &outcome, cfg);
-            (report, Some(cc))
-        }
-        None => (check_case(tc, &outcome, cfg), None),
+    let (report, coverage) = match catch_unwind(AssertUnwindSafe(|| {
+        let checker = match streamed {
+            Some(checker) => *checker,
+            None => replay(new_checker(tc, cfg, opts.coverage), &outcome),
+        };
+        checker.finish_coverage(tc, &outcome)
     })) {
         Ok(out) => out,
         Err(panic) => return quarantined(format!("checker panic: {}", panic_message(&panic))),

@@ -1,17 +1,17 @@
 //! Online (streaming) checking: consume [`TraceEvent`]s as the core emits
 //! them instead of scanning a fully buffered trace after the run.
 //!
-//! Two layers live here:
+//! This is the checker's only algorithm. Batch checking
+//! ([`check_case`](crate::checker::check_case)) replays a run's buffered
+//! trace into a [`StreamingChecker`], so online and after-the-run checking
+//! yield identical reports by construction. Two layers live here:
 //!
-//! - [`ScanState`]: the per-event finding state machine. It is the *single*
-//!   implementation of the checker's trace scan — the batch
-//!   [`check_case`](crate::checker::check_case) drives it over the buffered
-//!   trace, and the streaming checker drives it from a trace sink — so
-//!   batch and streaming findings are identical by construction.
+//! - [`ScanState`]: the per-event finding state machine (the D1–D8 /
+//!   M1–M2 trace scan).
 //! - [`StreamingChecker`]: a [`TraceSink`] wrapping `ScanState` plus an
-//!   online provenance index, producing a complete [`CheckReport`] (equal,
-//!   field for field, to the batch pipeline's) from bounded memory: the
-//!   trace itself is never buffered.
+//!   online provenance index, producing a complete [`CheckReport`] —
+//!   findings, snapshot residues and provenance chains — from bounded
+//!   memory: the trace itself is never buffered.
 //!
 //! The memory bound relies on one trace invariant: event cycles are
 //! nondecreasing (events are recorded as the simulation advances). That
@@ -47,16 +47,15 @@ struct Slot {
     pending_cell: Option<CellKey>,
 }
 
-/// The checker's per-event trace-scan state machine (shared by the batch
-/// and streaming pipelines).
+/// The checker's per-event trace-scan state machine.
 pub(crate) struct ScanState {
     mcounteren: u64,
     secrets: SecretCatalog,
     tainted: Vec<bool>,
     /// Values returned by privileged counter reads that should have been
-    /// rejected (Figure 6). The batch predicate also compares cycles, but
-    /// with nondecreasing cycles every previously recorded read satisfies
-    /// it, so value membership is sufficient.
+    /// rejected (Figure 6). With nondecreasing cycles every previously
+    /// recorded read precedes the current event, so value membership is
+    /// sufficient.
     transient_read_values: HashSet<u64>,
     /// Secret values the store buffer forwarded to a load (D8 evidence).
     sb_forwarded_secrets: HashSet<u64>,
@@ -301,8 +300,7 @@ impl ScanState {
 
     /// Resolves pending register-file classifications and returns the
     /// findings plus the dedup key set (carried into the snapshot scan so
-    /// trace-time findings suppress equivalent residue findings, exactly
-    /// as the single-pass batch scan does).
+    /// trace-time findings suppress equivalent residue findings).
     pub(crate) fn into_findings(self) -> (Vec<Finding>, BTreeSet<String>, Option<CoverageTracker>) {
         let mut dedup = self.dedup;
         let mut coverage = self.coverage;
@@ -384,9 +382,9 @@ struct SecretProv {
     firsts_after: [Option<PEvent>; NS],
 }
 
-/// Online provenance index: everything
-/// [`provenance::trace_chain`](crate::provenance::trace_chain) derives from
-/// the buffered trace, maintained incrementally in bounded memory.
+/// Online provenance index: the per-secret, per-structure "first carrier"
+/// records and counter/predictor windows that provenance chains are built
+/// from, maintained incrementally in bounded memory.
 struct ProvIndex {
     by_value: HashMap<u64, SecretProv>,
     /// First trusted-domain counter bump (M1 chain origin).
@@ -485,6 +483,19 @@ impl ProvIndex {
             self.m2_first_any.entry(e.structure).or_insert(pe);
         }
     }
+
+    /// The (first, last) trusted counter bumps strictly before `obs_cycle`:
+    /// an M1 chain's origin and the end of its accumulation window.
+    fn m1_window(&self, obs_cycle: u64) -> Option<(PEvent, Option<PEvent>)> {
+        let first = self.first_bump.filter(|b| b.cycle < obs_cycle)?;
+        let candidate = match self.latest_bump {
+            Some(l) if l.cycle < obs_cycle => Some(l),
+            Some(_) => self.latest_bump_prev,
+            None => None,
+        };
+        let last = candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle);
+        Some((first, last))
+    }
 }
 
 impl SecretProv {
@@ -506,8 +517,9 @@ impl SecretProv {
 
 /// An online checker: attach it to a core's trace as a [`TraceSink`]
 /// (typically with buffering disabled), run the case, then call
-/// [`StreamingChecker::finish`] to obtain a [`CheckReport`] identical to
-/// the batch [`check_case`](crate::checker::check_case) result.
+/// [`StreamingChecker::finish`] to obtain the case's [`CheckReport`].
+/// [`check_case`](crate::checker::check_case) drives the same checker from
+/// a buffered trace after the run.
 ///
 /// ```
 /// use teesec::paths::AccessPath;
@@ -587,24 +599,11 @@ impl StreamingChecker {
         for i in before..self.scan.finding_count() {
             let f = self.scan.finding(i);
             if f.secret.is_none() && !matches!(f.structure, Structure::Ubtb | Structure::Ftb) {
-                if let Some(chain) = self.m1_window(f.cycle) {
+                if let Some(chain) = self.prov.m1_window(f.cycle) {
                     self.m1_at_push.insert(i, chain);
                 }
             }
         }
-    }
-
-    /// The (first, last) trusted counter bumps strictly before `obs_cycle`,
-    /// per the batch chain's window query.
-    fn m1_window(&self, obs_cycle: u64) -> Option<(PEvent, Option<PEvent>)> {
-        let first = self.prov.first_bump.filter(|b| b.cycle < obs_cycle)?;
-        let candidate = match self.prov.latest_bump {
-            Some(l) if l.cycle < obs_cycle => Some(l),
-            Some(_) => self.prov.latest_bump_prev,
-            None => None,
-        };
-        let last = candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle);
-        Some((first, last))
     }
 
     /// Finalizes the scan: resolves pending classifications, runs the
@@ -632,6 +631,7 @@ impl StreamingChecker {
             m1_at_push,
             ..
         } = self;
+        debug_assert_eq!(tc.name, case, "finished against a different case");
         let slot_count = scan.finding_count();
         let (mut findings, mut dedup, mut coverage) = scan.into_findings();
 
@@ -641,7 +641,7 @@ impl StreamingChecker {
                 findings.push(f);
             }
         };
-        scan_snapshot(tc, outcome, &secrets, &mut findings, &mut push);
+        scan_snapshot(outcome, &secrets, &mut findings, &mut push);
         if let Some(cov) = coverage.as_mut() {
             for f in &findings[snapshot_from..] {
                 cov.record_detection(f);
@@ -678,8 +678,9 @@ impl TraceSink for StreamingChecker {
 }
 
 /// Reconstructs the provenance chain for `findings[index]` from the online
-/// index — the bounded-memory equivalent of
-/// [`provenance::trace_chain`](crate::provenance::trace_chain).
+/// index: origin, retention hops (first carrier per structure between
+/// origin and observation) and the observation itself. Returns `None` only
+/// when the finding's mechanism never appeared in the trace.
 fn chain_for(
     finding: &Finding,
     index: usize,
@@ -743,8 +744,7 @@ fn chain_for(
                 ),
             };
             // Retention: the first carrier per structure between origin
-            // and observation, in trace order (first-per-structure is
-            // exactly what the batch seen-set loop keeps).
+            // and observation, in trace order.
             let mut carriers: Vec<&PEvent> = candidates
                 .iter()
                 .flatten()
@@ -788,16 +788,7 @@ fn chain_for(
             let (first, last) = if !obs_is_snapshot && index < slot_count {
                 *m1_at_push.get(&index)?
             } else {
-                let first = prov.first_bump.filter(|b| b.cycle < obs_cycle)?;
-                let candidate = match prov.latest_bump {
-                    Some(l) if l.cycle < obs_cycle => Some(l),
-                    Some(_) => prov.latest_bump_prev,
-                    None => None,
-                };
-                (
-                    first,
-                    candidate.filter(|l| l.cycle > first.cycle && l.cycle < obs_cycle),
-                )
+                prov.m1_window(obs_cycle)?
             };
             let retention = last
                 .map(|e| vec![e.hop("last event counted during trusted execution".to_string())])

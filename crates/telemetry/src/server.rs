@@ -6,7 +6,7 @@
 //! request/response exchange — except `GET /events`, which streams
 //! Server-Sent Events until the campaign completes and its tail drains.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,6 +21,10 @@ use crate::hub::MetricsHub;
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// How long an SSE subscriber waits per batch before re-checking shutdown.
 const SSE_BATCH_WAIT: Duration = Duration::from_millis(250);
+/// Longest request or header line the server reads, terminator included.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+/// Most header lines the server reads for one request.
+const MAX_HEADERS: usize = 64;
 
 /// A running telemetry server. Dropping it stops the accept loop; live
 /// SSE streams notice the stop flag within one batch wait and close.
@@ -121,9 +125,44 @@ impl Request {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Request> {
+/// Why a request was not read: a transport error, or a request over the
+/// size limits, answered with the given status line and body.
+enum ReadError {
+    Io(std::io::Error),
+    Rejected(&'static str, &'static str),
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> ReadError {
+        ReadError::Io(e)
+    }
+}
+
+const LINE_TOO_LONG: ReadError =
+    ReadError::Rejected("400 Bad Request", "request line exceeds 8 KiB\n");
+const HEADERS_TOO_LARGE: ReadError = ReadError::Rejected(
+    "431 Request Header Fields Too Large",
+    "header line exceeds 8 KiB or more than 64 headers\n",
+);
+
+/// Appends one line of at most [`MAX_LINE_BYTES`] to `line`, returning
+/// the bytes read (0 at end of stream), or `too_long` when the limit is
+/// reached before a newline.
+fn read_line_bounded(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    too_long: ReadError,
+) -> Result<usize, ReadError> {
+    let n = reader.by_ref().take(MAX_LINE_BYTES).read_line(line)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(too_long);
+    }
+    Ok(n)
+}
+
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_line_bounded(reader, &mut line, LINE_TOO_LONG)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default();
@@ -132,14 +171,17 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Request> {
         None => (target.to_string(), String::new()),
     };
     let mut headers = Vec::new();
-    loop {
+    for count in 0.. {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_line_bounded(reader, &mut h, HEADERS_TOO_LARGE)? == 0 {
             break;
         }
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(HEADERS_TOO_LARGE);
         }
         if let Some((k, v)) = h.split_once(':') {
             headers.push((k.trim().to_string(), v.trim().to_string()));
@@ -159,11 +201,13 @@ fn write_response(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        stream,
+    // One write: a response split over several small writes can sit
+    // behind Nagle's algorithm when the connection is closed.
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -175,8 +219,14 @@ fn handle_connection(
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let request = read_request(&mut reader)?;
     let mut stream = stream;
+    let request = match read_request(&mut reader) {
+        Ok(request) => request,
+        Err(ReadError::Io(e)) => return Err(e),
+        Err(ReadError::Rejected(status, body)) => {
+            return write_response(&mut stream, status, "text/plain; charset=utf-8", body)
+        }
+    };
     if request.method != "GET" {
         return write_response(
             &mut stream,
@@ -352,6 +402,54 @@ mod tests {
         let (status, _, body) = http_get(server.local_addr(), "/trace", "");
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("traceEvents"), "{body}");
+    }
+
+    /// Sends `request` from a helper thread (the server may stop reading
+    /// and close mid-send) and returns whatever response arrives.
+    fn raw_exchange(addr: SocketAddr, request: Vec<u8>) -> String {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&request);
+        });
+        let mut response = Vec::new();
+        let _ = (&stream).read_to_end(&mut response);
+        drop(stream);
+        let _ = sender.join();
+        String::from_utf8_lossy(&response).into_owned()
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
+        let hub = MetricsHub::default();
+        hub.publish_metrics("teesec_up 1\n".to_string());
+        let server = started(&hub);
+        let addr = server.local_addr();
+        let mut request = b"GET /".to_vec();
+        request.resize(1 << 20, b'a');
+        let response = raw_exchange(addr, request);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        let (status, _, body) = http_get(addr, "/metrics", "");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "teesec_up 1\n");
+    }
+
+    #[test]
+    fn oversized_or_too_many_headers_get_431() {
+        let hub = MetricsHub::default();
+        let server = started(&hub);
+        let addr = server.local_addr();
+        let long = format!(
+            "GET /health HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+            "v".repeat(9000)
+        );
+        assert!(raw_exchange(addr, long.into_bytes()).starts_with("HTTP/1.1 431"));
+        let many: String = (0..65).map(|i| format!("X-H{i}: v\r\n")).collect();
+        let request = format!("GET /health HTTP/1.1\r\n{many}\r\n");
+        assert!(raw_exchange(addr, request.into_bytes()).starts_with("HTTP/1.1 431"));
+        let allowed: String = (0..64).map(|i| format!("X-H{i}: v\r\n")).collect();
+        let request = format!("GET /health HTTP/1.1\r\n{allowed}\r\n");
+        assert!(raw_exchange(addr, request.into_bytes()).starts_with("HTTP/1.1 200"));
     }
 
     #[test]
