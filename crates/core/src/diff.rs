@@ -436,6 +436,9 @@ pub fn diff_case(
                 return Ok(diverged(retires, last_pc, last_inst, kind, core, &iss));
             }
         }
+        // Jump any stall window ahead (fast path only). Last in the cycle,
+        // so the decision sees the state after the injected faults.
+        core.skip_quiescent(limit);
     }
 
     if !core.halted {

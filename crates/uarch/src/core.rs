@@ -36,6 +36,9 @@ pub const MDOMAIN: CsrAddr = 0x7C0;
 /// interrupt exploits.
 const CSR_FLUSH_DELAY: u64 = 3;
 
+/// The machine external interrupt's `mip`/`mie` bit.
+const MEIP: u64 = 1 << Interrupt::MachineExternal.number();
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     Waiting,
@@ -68,6 +71,8 @@ struct RobEntry {
     pc: u64,
     predicted_next: u64,
     inst: Result<Inst, u32>,
+    /// `inst`'s destination register, cached for the operand walks.
+    dest: Option<Reg>,
     state: EntryState,
     result: Option<u64>,
     exception: Option<Exception>,
@@ -163,7 +168,8 @@ pub struct Core {
     /// `fetch_fence_hit` — the snapshot point for platform checkpointing.
     fetch_fence: Option<u64>,
     fetch_fence_hit: bool,
-    /// Fast-path switch (page-keyed decode cache + dirty-scan elision).
+    /// Fast-path switch (page-keyed decode cache, dirty-scan elision,
+    /// quiescent-cycle fast-forward).
     /// Defaults from `TEESEC_FASTPATH`; both settings are byte-identical
     /// in every architectural and traced observable.
     fast_path: bool,
@@ -176,12 +182,15 @@ pub struct Core {
     /// it was scanned after the last change to anything its scan reads,
     /// and stalled — so the execute walk starts here. Writebacks and
     /// store resolutions at position `p` pull it down to `p + 1` (their
-    /// effects are only visible to younger scans); retires, traps, and
+    /// effects are only visible to younger scans); an ordinary retire
+    /// shifts it down with the positions; store retires, traps, and
     /// serializing instructions reset it to 0.
     scan_from: usize,
     /// Fast-path diagnostics: scans performed / scans elided.
     scan_checks: u64,
     scan_skips: u64,
+    /// Fast-path diagnostics: cycles jumped by [`Core::skip_quiescent`].
+    skipped_cycles: u64,
 }
 
 /// The single I-cache line the fetch stage is currently streaming
@@ -231,6 +240,8 @@ pub struct FastPathStats {
     pub scan_checks: u64,
     /// Scans elided because the dirty epoch was unchanged.
     pub scan_skips: u64,
+    /// Quiescent cycles fast-forwarded instead of stepped.
+    pub skipped_cycles: u64,
 }
 
 /// Process-wide fast-path default: on unless `TEESEC_FASTPATH` is set to
@@ -282,14 +293,16 @@ impl Core {
             scan_from: 0,
             scan_checks: 0,
             scan_skips: 0,
+            skipped_cycles: 0,
             mem,
             config,
         }
     }
 
-    /// Enables or disables the fast path (decode cache + dirty-scan
-    /// elision). Both settings produce byte-identical runs; off is the
-    /// reference path the equivalence harness compares against.
+    /// Enables or disables the fast path (decode cache, dirty-scan
+    /// elision, quiescent-cycle fast-forward). Both settings produce
+    /// byte-identical runs; off is the reference path the equivalence
+    /// harness compares against.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
         self.lsu.set_fast_path(on);
@@ -322,15 +335,16 @@ impl Core {
             decode: self.decode_cache.stats,
             scan_checks: self.scan_checks + lsu_checks,
             scan_skips: self.scan_skips + lsu_skips,
+            skipped_cycles: self.skipped_cycles,
         }
     }
 
     /// Resets the dirty-scan watermark: every waiting entry will be
     /// rescanned. Called wherever state that scans read may have changed
-    /// beyond a known ROB position — retires shift every position, traps
-    /// and serializing instructions can change anything — and defensively
-    /// at the public run entry points (external code may have poked
-    /// `mem`/`csr`/registers between runs).
+    /// beyond a known ROB position — a retiring store changes the store
+    /// buffer, traps and serializing instructions can change anything —
+    /// and defensively at the public run entry points (external code may
+    /// have poked `mem`/`csr`/registers between runs).
     #[inline]
     fn invalidate_scans(&mut self) {
         self.scan_from = 0;
@@ -533,6 +547,11 @@ impl Core {
     /// Runs until halt or `max_cycles`. After a halt, the LSU is ticked
     /// until quiescent so buffered committed stores reach memory (hardware
     /// drains its store buffer eventually; tests inspect raw memory).
+    ///
+    /// On the fast path, stall windows in which no stage can act are
+    /// jumped over ([`Core::skip_quiescent`]), never past `max_cycles`: a
+    /// `CycleLimit` exit always leaves `cycle == max_cycles`, exactly as
+    /// the cycle-by-cycle reference does.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         self.invalidate_scans();
         self.invalidate_fetch_memo();
@@ -542,6 +561,7 @@ impl Core {
                 return RunExit::CycleLimit;
             }
             self.step();
+            self.skip_quiescent(max_cycles);
         }
         self.drain();
         RunExit::Halted
@@ -551,8 +571,10 @@ impl Core {
     /// every `batch` simulated cycles and once on exit, with the core
     /// inspectable in between. The stepping is bit-identical to a single
     /// `run(max_cycles)` call — the hook only partitions the same cycle
-    /// sequence — so tracers can sample progress (cycle counters, stall
-    /// state) without perturbing the simulation.
+    /// sequence, and each batch's `run` clamps any fast-forward at the
+    /// batch edge, so the hook fires at the same cycles on both paths —
+    /// so tracers can sample progress (cycle counters, stall state)
+    /// without perturbing the simulation.
     pub fn run_batched(
         &mut self,
         max_cycles: u64,
@@ -588,6 +610,60 @@ impl Core {
         }
     }
 
+    /// Fast-forwards over a quiescent stall window, at most to `limit`:
+    /// after a [`Core::step`] from which no stage can act before some
+    /// future cycle `t`, sets `cycle` to `min(t - 1, limit)` in one jump,
+    /// skipping exactly the steps the reference path would execute as
+    /// no-ops. Does nothing off the fast path, or when any stage may act
+    /// on the next cycle.
+    ///
+    /// A step is a no-op when fetch is blocked (stalled or ROB full, no
+    /// fetch fence armed), every waiting entry is known stalled (the scan
+    /// watermark covers the ROB), the head cannot commit (not done, or a
+    /// fence/WFI that keeps waiting), no enabled interrupt is pending,
+    /// and the LSU only waits on timed events ([`Lsu::stall_horizon`]).
+    /// `t` is the LSU's horizon capped by a scheduled external interrupt —
+    /// those, a flushing CSR read's `commit_not_before` (excluded: such a
+    /// head is done), and the run limit are the only cycle-dependent
+    /// conditions in the model.
+    pub fn skip_quiescent(&mut self, limit: u64) {
+        if !self.fast_path
+            || self.halted
+            || self.fetch_fence.is_some()
+            || !(self.fetch_stalled || self.rob.len() >= self.config.rob_entries)
+            || self.scan_from < self.rob.len()
+            || self.interrupt_ready()
+        {
+            return;
+        }
+        if let Some(head) = self.rob.front() {
+            let stays = if head.serializing {
+                !head.sys_executed && self.system_head_keeps_waiting()
+            } else {
+                head.state != EntryState::Done
+            };
+            if !stays {
+                return;
+            }
+        }
+        let Some(mut t) = self.lsu.stall_horizon(self.cycle) else {
+            return;
+        };
+        match self.ext_irq_at {
+            Some(at) if at > self.cycle => t = t.min(at),
+            // Already asserted; re-asserting each cycle is idempotent only
+            // while the pending bit is still set.
+            Some(_) if self.csr.mip & MEIP == 0 => return,
+            _ => {}
+        }
+        let target = t.saturating_sub(1).min(limit);
+        if target > self.cycle {
+            self.skipped_cycles += target - self.cycle;
+            self.cycle = target;
+            self.csr.cycle = target;
+        }
+    }
+
     /// Advances the core by one cycle.
     pub fn step(&mut self) {
         if self.halted {
@@ -597,7 +673,7 @@ impl Core {
         self.csr.cycle = self.cycle;
         if let Some(at) = self.ext_irq_at {
             if self.cycle >= at {
-                self.csr.mip |= 1 << Interrupt::MachineExternal.number();
+                self.csr.mip |= MEIP;
             }
         }
         self.lsu.tick(
@@ -629,11 +705,7 @@ impl Core {
         }
         for j in (0..pos).rev() {
             let e = &self.rob[j];
-            let dest = match e.inst {
-                Ok(i) => i.dest(),
-                Err(_) => None,
-            };
-            if dest == Some(r) {
+            if e.dest == Some(r) {
                 return if e.state == EntryState::Done {
                     e.result
                 } else {
@@ -656,15 +728,10 @@ impl Core {
 
     /// Is this entry the youngest writer of its destination register?
     fn is_youngest_writer(&self, pos: usize) -> bool {
-        let Ok(inst) = self.rob[pos].inst else {
+        let Some(d) = self.rob[pos].dest else {
             return false;
         };
-        let Some(d) = inst.dest() else { return false };
-        !self
-            .rob
-            .iter()
-            .skip(pos + 1)
-            .any(|e| matches!(e.inst, Ok(i) if i.dest() == Some(d)))
+        !self.rob.iter().skip(pos + 1).any(|e| e.dest == Some(d))
     }
 
     fn writeback(&mut self, pos: usize, value: u64) {
@@ -673,8 +740,7 @@ impl Core {
         // entries ahead of `pos` stay valid.
         self.invalidate_scans_after(pos);
         self.rob[pos].result = Some(value);
-        let Ok(inst) = self.rob[pos].inst else { return };
-        let Some(d) = inst.dest() else { return };
+        let Some(d) = self.rob[pos].dest else { return };
         if self.is_youngest_writer(pos) {
             self.spec_rf[d.index() as usize] = value;
         }
@@ -696,13 +762,9 @@ impl Core {
 
     fn rebuild_spec_rf(&mut self) {
         self.spec_rf = self.arch_rf;
-        for j in 0..self.rob.len() {
-            if self.rob[j].state == EntryState::Done {
-                if let (Ok(inst), Some(v)) = (self.rob[j].inst, self.rob[j].result) {
-                    if let Some(d) = inst.dest() {
-                        self.spec_rf[d.index() as usize] = v;
-                    }
-                }
+        for e in &self.rob {
+            if let (EntryState::Done, Some(d), Some(v)) = (e.state, e.dest, e.result) {
+                self.spec_rf[d.index() as usize] = v;
             }
         }
     }
@@ -1102,7 +1164,7 @@ impl Core {
                 // The system instruction may have scheduled a delayed flush.
                 let head = self.rob.front().expect("head persists");
                 if !head.sys_executed {
-                    // A WFI still waiting for its interrupt.
+                    // A fence or WFI still waiting.
                     return;
                 }
                 if self.cycle < head.commit_not_before {
@@ -1131,15 +1193,21 @@ impl Core {
     }
 
     fn retire_head(&mut self) {
-        // Retiring shifts every ROB position, moves the head's result
-        // into the architectural file, and releases a head store to the
-        // store buffer — all of which scans read.
-        self.invalidate_scans();
+        // Retiring shifts every ROB position down by one, moves the head's
+        // result into the architectural file, and releases a head store to
+        // the store buffer. An ordinary head was done, so every younger
+        // scan already read its result — now served by `arch_rf` — and the
+        // watermark just shifts with the positions. A store changes the
+        // store buffer and a serializing head may have changed anything:
+        // rescan everything.
         let head = self.rob.pop_front().expect("retire requires a head");
-        if let (Ok(inst), Some(v)) = (head.inst, head.result) {
-            if let Some(d) = inst.dest() {
-                self.arch_rf[d.index() as usize] = v;
-            }
+        if head.store.is_some() || head.serializing {
+            self.invalidate_scans();
+        } else {
+            self.scan_from = self.scan_from.saturating_sub(1);
+        }
+        if let (Some(d), Some(v)) = (head.dest, head.result) {
+            self.arch_rf[d.index() as usize] = v;
         }
         if self.retire_probe {
             if let Ok(inst) = head.inst {
@@ -1147,7 +1215,7 @@ impl Core {
                     seq: head.seq,
                     pc: head.pc,
                     inst,
-                    result: inst.dest().and(head.result),
+                    result: head.dest.and(head.result),
                 });
             }
         }
@@ -1175,7 +1243,23 @@ impl Core {
     // System / CSR instructions (executed at ROB head)
     // ------------------------------------------------------------------
 
+    /// Whether the serializing head is a fence still waiting for committed
+    /// stores to drain, or a WFI still waiting for a pending interrupt.
+    /// Such a head changes nothing this cycle.
+    fn system_head_keeps_waiting(&self) -> bool {
+        match self.rob.front().map(|e| e.inst) {
+            Some(Ok(Inst::Fence)) => !self.lsu.stores_drained(),
+            Some(Ok(Inst::Wfi)) => self.csr.mip & self.csr.mie == 0,
+            _ => false,
+        }
+    }
+
     fn execute_system_at_head(&mut self) {
+        // A waiting fence/WFI stays at the head untouched and invalidates
+        // nothing, so stalled scans and retries stay elided while it waits.
+        if self.system_head_keeps_waiting() {
+            return;
+        }
         // Serializing instructions may touch CSRs (satp, PMP, mstatus.SUM),
         // privilege, or the head entry itself — all scan inputs, and all
         // fetch-memo inputs (satp, priv, PMP, fence.i's L1I flush). The
@@ -1242,22 +1326,10 @@ impl Core {
                 self.priv_level = spp;
                 self.redirect_after_head(self.csr.sepc, seq);
             }
-            Inst::Wfi => {
-                let pending = self.csr.mip & self.csr.mie;
-                if pending == 0 {
-                    // Spin at the head until an interrupt is pending.
-                    self.rob[0].sys_executed = false;
-                    self.rob[0].state = EntryState::Waiting;
-                }
-            }
-            Inst::Fence => {
-                if !self.lsu.stores_drained() {
-                    // Fences order memory operations: hold at the head until
-                    // all committed stores have reached the L1D.
-                    self.rob[0].sys_executed = false;
-                    self.rob[0].state = EntryState::Waiting;
-                }
-            }
+            // A WFI resumes once an interrupt is pending; a fence orders
+            // memory operations, resuming once every committed store has
+            // reached the L1D. Until then both spin at the head (above).
+            Inst::Wfi | Inst::Fence => {}
             Inst::FenceI => {
                 // fence.i synchronizes the instruction stream with memory.
                 self.l1i.flush_all();
@@ -1287,12 +1359,8 @@ impl Core {
             }
             _ => unreachable!("non-serializing instruction at system execute"),
         }
-        if self.rob[0].sys_executed
-            && self.rob[0].exception.is_none()
-            && !matches!(inst, Inst::Mret | Inst::Sret)
-        {
-            // Serializing instructions resume fetch at pc + 4 (a WFI that is
-            // still waiting has sys_executed reset and does not redirect).
+        if self.rob[0].exception.is_none() && !matches!(inst, Inst::Mret | Inst::Sret) {
+            // Serializing instructions resume fetch at pc + 4.
             self.redirect_after_head(pc + 4, seq);
         }
     }
@@ -1511,13 +1579,15 @@ impl Core {
         self.enter_trap(e.cause(), e.tval(), epc);
     }
 
+    /// Whether a pending external interrupt is enabled, i.e. will be
+    /// taken at the next interrupt check.
+    fn interrupt_ready(&self) -> bool {
+        self.csr.mip & self.csr.mie & MEIP != 0
+            && (self.priv_level != PrivLevel::Machine || self.csr.mstatus.mie())
+    }
+
     fn take_interrupt_if_pending(&mut self) -> bool {
-        let pending = self.csr.mip & self.csr.mie;
-        if pending & (1 << Interrupt::MachineExternal.number()) == 0 {
-            return false;
-        }
-        let enabled = self.priv_level != PrivLevel::Machine || self.csr.mstatus.mie();
-        if !enabled {
+        if !self.interrupt_ready() {
             return false;
         }
         // XiangShan's context snapshot includes speculative writebacks — the
@@ -1527,7 +1597,7 @@ impl Core {
             self.arch_rf[0] = 0;
         }
         let epc = self.rob.front().map(|e| e.pc).unwrap_or(self.fetch_pc);
-        self.csr.mip &= !(1 << Interrupt::MachineExternal.number());
+        self.csr.mip &= !MEIP;
         self.ext_irq_at = None;
         self.enter_trap(Interrupt::MachineExternal.cause(), 0, epc);
         true
@@ -1662,6 +1732,7 @@ impl Core {
             pc,
             predicted_next,
             inst,
+            dest: inst.ok().and_then(|i| i.dest()),
             state,
             result: None,
             exception,

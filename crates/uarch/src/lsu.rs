@@ -422,6 +422,49 @@ impl Lsu {
             && self.walks.is_empty()
     }
 
+    /// The earliest cycle at which any LSU work can act again, after a
+    /// tick at `cycle`: `Some(t)` guarantees every tick in
+    /// `cycle + 1 .. t` is a no-op (`u64::MAX` when nothing is timed);
+    /// `None` — always sound — means something may act on the next tick.
+    /// Unlike [`Lsu::quiescent`], in-flight work is allowed as long as it
+    /// only waits on a timed event: a fill's `complete_at` or a
+    /// response's `at`. A load stalled in the access stage qualifies only
+    /// under the fast path's retry elision (its verdict inputs are
+    /// unchanged, so every retry is skipped).
+    pub fn stall_horizon(&self, cycle: u64) -> Option<u64> {
+        let mut t = u64::MAX;
+        for l in &self.loads {
+            match l.state {
+                LoadLane::Done | LoadLane::WaitFill(_) | LoadLane::Walking(_) => {}
+                LoadLane::Respond { at, .. } if at > cycle => t = t.min(at),
+                LoadLane::Access if self.fast_path && l.attempt_epoch == self.epoch => {}
+                _ => return None,
+            }
+        }
+        let xlates_wait = self
+            .xlates
+            .iter()
+            .all(|x| matches!(x.state, XlateState::Done | XlateState::Walking(_)));
+        // A walk that is not waiting for memory advances next tick, and so
+        // do the loads and translations waiting on a finished walk.
+        let walks_wait = self
+            .walks
+            .iter()
+            .all(|w| matches!(w.state, WalkState::WaitMem(_)) && w.outcome.is_none());
+        let drain_waits =
+            matches!(self.drain_state, DrainState::WaitFill(_)) || self.store_buffer.is_empty();
+        if !(xlates_wait
+            && walks_wait
+            && drain_waits
+            && self.completions.is_empty()
+            && self.xlate_completions.is_empty())
+        {
+            return None;
+        }
+        let fills = self.mem_reqs.iter().map(|r| r.complete_at);
+        Some(fills.fold(t, u64::min))
+    }
+
     /// Drops completion delivery for all ops with `seq >= from_seq`.
     /// Outstanding fills keep running — hardware does not cancel memory
     /// requests, which is exactly why transient accesses leave traces.
@@ -556,23 +599,14 @@ impl Lsu {
         self.drain_stores(cycle, priv_level, domain, mem, trace);
         self.loads.retain(|l| l.state != LoadLane::Done);
         self.xlates.retain(|x| x.state != XlateState::Done);
-        let keep: Vec<u64> = self
-            .walks
-            .iter()
-            .filter(|w| w.outcome.is_none() || self.walk_has_waiters(w.id))
-            .map(|w| w.id)
-            .collect();
-        self.walks.retain(|w| keep.contains(&w.id));
-    }
-
-    fn walk_has_waiters(&self, walk_id: u64) -> bool {
-        self.loads
-            .iter()
-            .any(|l| l.state == LoadLane::Walking(walk_id))
-            || self
-                .xlates
-                .iter()
-                .any(|x| x.state == XlateState::Walking(walk_id))
+        // A finished walk stays until every load/translation waiting on it
+        // has picked up the outcome.
+        let (loads, xlates) = (&self.loads, &self.xlates);
+        self.walks.retain(|w| {
+            w.outcome.is_none()
+                || loads.iter().any(|l| l.state == LoadLane::Walking(w.id))
+                || xlates.iter().any(|x| x.state == XlateState::Walking(w.id))
+        });
     }
 
     fn alloc_req_id(&mut self) -> u64 {
@@ -591,6 +625,9 @@ impl Lsu {
         mem: &mut Memory,
         trace: &mut Trace,
     ) {
+        if self.mem_reqs.iter().all(|r| r.complete_at > cycle) {
+            return;
+        }
         let ready: Vec<MemReq> = self
             .mem_reqs
             .iter()

@@ -96,7 +96,7 @@ pub enum Interrupt {
 
 impl Interrupt {
     /// The interrupt number (bit position in `mip`/`mie`).
-    pub fn number(self) -> u64 {
+    pub const fn number(self) -> u64 {
         match self {
             Interrupt::MachineSoftware => 3,
             Interrupt::MachineTimer => 7,

@@ -1,5 +1,6 @@
 //! Pipeline edge cases: squash correctness, fence ordering, TLB staleness
-//! semantics, transient non-retirement, and cache behaviour under pressure.
+//! semantics, transient non-retirement, cache behaviour under pressure, and
+//! the fast path's quiescent-cycle fast-forward on the stalls it jumps.
 
 use teesec_isa::asm::Assembler;
 use teesec_isa::csr;
@@ -8,7 +9,8 @@ use teesec_isa::reg::Reg;
 use teesec_isa::vm::{PhysAddr, Pte};
 use teesec_uarch::core::Core;
 use teesec_uarch::mem::Memory;
-use teesec_uarch::trace::{Structure, TraceEventKind};
+use teesec_uarch::trace::{Structure, TraceEvent, TraceEventKind};
+use teesec_uarch::trap::{Exception, Interrupt};
 use teesec_uarch::{CoreConfig, RunExit};
 
 const BASE: u64 = 0x8000_0000;
@@ -359,4 +361,233 @@ fn partial_overlap_stalls_instead_of_forwarding() {
     });
     assert_eq!(core.run(200_000), RunExit::Halted);
     assert_eq!(core.reg(Reg::S2), 0x1111_2222_3333_44AB);
+}
+
+// ---------------------------------------------------------------------
+// Quiescent-cycle fast-forward: each stall kind the fast path jumps over
+// must give the reference path's exact run, and the jump must fire.
+// ---------------------------------------------------------------------
+
+/// An uncached line, so a load or store to it misses to memory.
+const COLD: u64 = 0x8010_0000;
+
+/// The program built twice: `[reference, fast path]`, with an optional
+/// external interrupt scheduled on both.
+fn arms(cfg: &CoreConfig, irq_at: Option<u64>, program: &dyn Fn(&mut Assembler)) -> [Core; 2] {
+    [false, true].map(|fast| {
+        let mut core = build(cfg.clone(), program);
+        core.set_fast_path(fast);
+        if let Some(at) = irq_at {
+            core.schedule_external_interrupt(at);
+        }
+        core
+    })
+}
+
+/// Asserts the two arms ended in the same state: cycle, architectural
+/// registers, counter digest, trace statistics and every trace event.
+fn assert_same_run(reference: &Core, fast: &Core, what: &str) {
+    assert_eq!(fast.cycle, reference.cycle, "{what}: cycle");
+    assert_eq!(fast.halted, reference.halted, "{what}: halted");
+    for r in Reg::all() {
+        assert_eq!(fast.reg(r), reference.reg(r), "{what}: {r:?}");
+    }
+    assert_eq!(fast.counters(), reference.counters(), "{what}: counters");
+    assert_eq!(
+        fast.trace.stats(),
+        reference.trace.stats(),
+        "{what}: trace stats"
+    );
+    let events = |c: &Core| c.trace.iter_events().cloned().collect::<Vec<TraceEvent>>();
+    assert_eq!(events(fast), events(reference), "{what}: trace events");
+}
+
+/// Runs both arms to halt (within 100 000 cycles), asserts identical runs
+/// and that only the fast arm jumped, and returns the fast arm.
+fn run_both(cfg: &CoreConfig, irq_at: Option<u64>, program: &dyn Fn(&mut Assembler)) -> Core {
+    let [mut reference, mut fast] = arms(cfg, irq_at, program);
+    assert_eq!(reference.run(100_000), RunExit::Halted, "reference halts");
+    assert_eq!(fast.run(100_000), RunExit::Halted, "fast path halts");
+    assert_same_run(&reference, &fast, &cfg.name);
+    assert_eq!(
+        reference.fast_path_stats().skipped_cycles,
+        0,
+        "reference never skips"
+    );
+    assert!(
+        fast.fast_path_stats().skipped_cycles > 0,
+        "{}: the stall must be fast-forwarded",
+        cfg.name
+    );
+    fast
+}
+
+/// A load miss whose consumer stalls until the fill lands.
+fn load_miss_then(a: &mut Assembler) {
+    a.li(Reg::T0, COLD);
+    a.ld(Reg::T1, Reg::T0, 0);
+    a.add(Reg::T2, Reg::T1, Reg::T1);
+}
+
+fn load_miss(a: &mut Assembler) {
+    load_miss_then(a);
+    a.inst(Inst::Ebreak);
+}
+
+#[test]
+fn fast_forward_over_a_load_miss_is_exact() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let core = run_both(&cfg, None, &load_miss);
+        assert_eq!(core.reg(Reg::T2), 0);
+    }
+}
+
+#[test]
+fn fast_forward_to_a_faulting_loads_response_is_exact() {
+    // XiangShan answers a PMP-faulting L1D miss with a fake hit a few
+    // cycles out and no fill request: the pending response is the only
+    // timed event, so the jump must stop right before it.
+    const SECRET: u64 = 0x8040_0000;
+    let core = run_both(&CoreConfig::xiangshan(), None, &|a| {
+        a.la(Reg::T0, "handler");
+        a.csrw(csr::MTVEC, Reg::T0);
+        // PMP entry 0 denies the secret page; entry 1 allows the rest.
+        a.li(Reg::T1, (SECRET >> 2) | ((0x1000 >> 3) - 1));
+        a.csrw(csr::PMPADDR0, Reg::T1);
+        a.li(Reg::T2, 0x18);
+        a.csrw(csr::PMPCFG0, Reg::T2);
+        a.li(Reg::T1, u64::MAX >> 10);
+        a.csrw(csr::PMPADDR0 + 1, Reg::T1);
+        a.li(Reg::T2, 0x1F << 8);
+        a.csrrs(Reg::ZERO, csr::PMPCFG0, Reg::T2);
+        a.la(Reg::T3, "smode");
+        a.csrw(csr::MEPC, Reg::T3);
+        a.li(Reg::T4, 0x800);
+        a.csrw(csr::MSTATUS, Reg::T4);
+        a.mret();
+        a.label("smode");
+        a.li(Reg::A4, SECRET);
+        a.ld(Reg::A5, Reg::A4, 0);
+        a.label("handler");
+        a.inst(Inst::Ebreak);
+    });
+    assert_eq!(core.csr.mcause, Exception::LoadAccessFault(0).cause());
+}
+
+#[test]
+fn fast_forward_over_a_fence_draining_a_store_burst_is_exact() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let core = run_both(&cfg, None, &|a| {
+            a.li(Reg::T0, COLD);
+            a.li(Reg::T1, 0xC0FFEE);
+            for k in 0..4 {
+                a.sd(Reg::T1, Reg::T0, k * 64);
+            }
+            a.fence();
+            a.ld(Reg::T2, Reg::T0, 192);
+            a.inst(Inst::Ebreak);
+        });
+        assert!(core.lsu.stores_drained());
+        assert_eq!(core.reg(Reg::T2), 0xC0FFEE);
+    }
+}
+
+#[test]
+fn fast_forward_of_wfi_stops_at_the_scheduled_interrupt() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let core = run_both(&cfg, Some(300), &|a| {
+            a.li(Reg::T1, 1 << 11); // MEIE; global MIE stays off
+            a.csrw(csr::MIE, Reg::T1);
+            a.wfi();
+            a.li(Reg::A0, 0x77);
+            a.inst(Inst::Ebreak);
+        });
+        assert_eq!(core.reg(Reg::A0), 0x77);
+        assert!(core.cycle > 300, "wfi waited for the interrupt");
+    }
+}
+
+#[test]
+fn fast_forward_runs_through_a_pending_but_masked_interrupt() {
+    // The interrupt asserts almost at once but stays masked (global MIE
+    // off) across a load miss; enabling it afterwards takes it.
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let core = run_both(&cfg, Some(5), &|a| {
+            a.la(Reg::T0, "handler");
+            a.csrw(csr::MTVEC, Reg::T0);
+            a.li(Reg::T1, 1 << 11);
+            a.csrw(csr::MIE, Reg::T1);
+            load_miss_then(a);
+            a.li(Reg::T3, 0x8); // mstatus.MIE
+            a.csrrs(Reg::ZERO, csr::MSTATUS, Reg::T3);
+            a.li(Reg::A0, 1); // never retires: the interrupt comes first
+            a.label("handler");
+            a.inst(Inst::Ebreak);
+        });
+        assert_eq!(core.csr.mcause, Interrupt::MachineExternal.cause());
+        assert_eq!(core.reg(Reg::A0), 0);
+    }
+}
+
+#[test]
+fn fast_forward_never_passes_the_run_limit() {
+    // Every limit up to the halt, so many fall inside the miss stall: a
+    // cycle-limited run must stop at exactly `limit` on both arms.
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let [mut probe, _] = arms(&cfg, None, &load_miss);
+        assert_eq!(probe.run(100_000), RunExit::Halted);
+        let mut jumped_to_limit = 0;
+        for limit in 1..=probe.cycle + 2 {
+            let [mut reference, mut fast] = arms(&cfg, None, &load_miss);
+            let exit = reference.run(limit);
+            assert_eq!(fast.run(limit), exit, "{} limit {limit}", cfg.name);
+            assert_same_run(&reference, &fast, &format!("{} limit {limit}", cfg.name));
+            if exit == RunExit::CycleLimit {
+                assert_eq!(fast.cycle, limit);
+                if fast.fast_path_stats().skipped_cycles > 0 {
+                    jumped_to_limit += 1;
+                }
+            }
+        }
+        assert!(
+            jumped_to_limit > 0,
+            "{}: no limit fell in a skipped stall",
+            cfg.name
+        );
+    }
+}
+
+#[test]
+fn fast_forward_keeps_run_batched_sample_points() {
+    // Batch edges inside stalls: the observer must fire at the same
+    // cycles, on the same state, on both arms.
+    let program = |a: &mut Assembler| {
+        a.li(Reg::T0, COLD);
+        for k in 0..3 {
+            a.ld(Reg::T1, Reg::T0, k * 256);
+            a.add(Reg::T2, Reg::T2, Reg::T1);
+            a.sd(Reg::T2, Reg::T0, k * 256 + 1024);
+        }
+        a.fence();
+        a.inst(Inst::Ebreak);
+    };
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        for batch in [1, 3, 7, 16, 50] {
+            let [mut reference, mut fast] = arms(&cfg, None, &program);
+            let (mut ref_samples, mut fast_samples) = (Vec::new(), Vec::new());
+            let exit = reference.run_batched(100_000, batch, &mut |c| {
+                ref_samples.push((c.cycle, c.retired()))
+            });
+            let fast_exit = fast.run_batched(100_000, batch, &mut |c| {
+                fast_samples.push((c.cycle, c.retired()))
+            });
+            assert_eq!(fast_exit, exit);
+            assert_eq!(exit, RunExit::Halted);
+            assert_eq!(fast_samples, ref_samples, "{} batch {batch}", cfg.name);
+            assert_same_run(&reference, &fast, &format!("{} batch {batch}", cfg.name));
+            // A one-cycle batch leaves nothing to jump.
+            let skipped = fast.fast_path_stats().skipped_cycles;
+            assert_eq!(skipped > 0, batch > 1, "{} batch {batch}", cfg.name);
+        }
+    }
 }

@@ -1,25 +1,30 @@
 //! Fast-path byte-identity: the fast-path simulator (page-keyed decode
-//! cache, fetch-line memo, dirty-scan watermark, LSU retry elision,
-//! frozen trace prefixes) must be *indistinguishable* from the reference
-//! path in every checker-visible output. Over the full default corpus,
-//! on both designs, with the fast path forced on and off, this suite
-//! compares the serialized [`CheckReport`] (which embeds the provenance
-//! chains), the per-case [`CaseCoverage`], and the microarchitectural
-//! counter digest — through both the batch and the streaming pipeline.
+//! cache, fetch-line memo, dirty-scan watermark kept across ordinary
+//! retires, LSU retry elision, frozen trace prefixes, quiescent-cycle
+//! fast-forward) must be *indistinguishable* from the reference path in
+//! every checker-visible output. Over the full default corpus, on both
+//! designs, with the fast path forced on and off, this suite compares the
+//! serialized [`CheckReport`] (which embeds the provenance chains), the
+//! per-case [`CaseCoverage`], the microarchitectural counter digest and
+//! the run's exit — through both the batch and the streaming pipeline —
+//! plus an interrupt-timing sweep whose interrupts land inside the stalls
+//! the fast-forward jumps over.
 //!
 //! The fast path is elision-only by construction; this harness is the
 //! lock on that construction.
 
+use teesec::assemble::{assemble_case, CaseParams, Victim};
 use teesec::checker::check_case_coverage;
 use teesec::runner::{run_case_opts, RunOptions, SnapshotCache};
 use teesec::stream::StreamingChecker;
 use teesec::testcase::TestCase;
-use teesec::Fuzzer;
-use teesec_uarch::CoreConfig;
+use teesec::{AccessPath, Fuzzer};
+use teesec_uarch::{CoreConfig, RunExit};
 
 /// Batch pipeline under a forced fast-path setting: serialized report
-/// (findings + provenance chains), coverage, and counter digest.
-fn batch_outputs(tc: &TestCase, cfg: &CoreConfig, fast: bool) -> (String, String, String) {
+/// (findings + provenance chains), coverage, counter digest (which holds
+/// the cycle count), and how the run ended.
+fn batch_outputs(tc: &TestCase, cfg: &CoreConfig, fast: bool) -> (String, String, String, RunExit) {
     let outcome = run_case_opts(
         tc,
         cfg,
@@ -39,6 +44,7 @@ fn batch_outputs(tc: &TestCase, cfg: &CoreConfig, fast: bool) -> (String, String
         serde_json::to_string(&report).expect("report serializes"),
         serde_json::to_string(&coverage).expect("coverage serializes"),
         serde_json::to_string(&outcome.platform.core.counters()).expect("counters serialize"),
+        outcome.exit,
     )
 }
 
@@ -90,8 +96,13 @@ fn full_corpus_batch_outputs_are_byte_identical_across_designs() {
         let mut findings = 0usize;
         let mut chains = 0usize;
         for tc in &corpus {
-            let (ref_report, ref_cov, ref_ctr) = batch_outputs(tc, &cfg, false);
-            let (fast_report, fast_cov, fast_ctr) = batch_outputs(tc, &cfg, true);
+            let (ref_report, ref_cov, ref_ctr, ref_exit) = batch_outputs(tc, &cfg, false);
+            let (fast_report, fast_cov, fast_ctr, fast_exit) = batch_outputs(tc, &cfg, true);
+            assert_eq!(
+                fast_exit, ref_exit,
+                "case {} on {}: exit",
+                tc.name, cfg.name
+            );
             assert_eq!(
                 fast_report, ref_report,
                 "case {} on {}: fast-path report differs from reference",
@@ -120,6 +131,42 @@ fn full_corpus_batch_outputs_are_byte_identical_across_designs() {
             "{}: no provenance chains were compared",
             cfg.name
         );
+    }
+}
+
+/// Figure-6 interrupt-timing sweep: every access path of the design
+/// (the 20k-cycle SM scrub aside) with an enclave victim and twelve
+/// interrupt cycles across `100..1000`. The paper corpus's interrupts
+/// never land inside a stall the fast path jumps over; these do, so the
+/// jump must stop exactly at the interrupt cycle for the runs to match.
+#[test]
+fn interrupt_timing_sweep_is_byte_identical_across_designs() {
+    for cfg in [CoreConfig::boom(), CoreConfig::xiangshan()] {
+        let mut compared = 0usize;
+        for &path in AccessPath::all() {
+            if path == AccessPath::SmScrub {
+                continue;
+            }
+            for at in (100..1000).step_by(75) {
+                let params = CaseParams {
+                    victim: Victim::Enclave,
+                    irq_at: Some(at),
+                    ..CaseParams::default()
+                };
+                let Ok(tc) = assemble_case(path, params, &cfg) else {
+                    continue;
+                };
+                let reference = batch_outputs(&tc, &cfg, false);
+                let fast = batch_outputs(&tc, &cfg, true);
+                assert_eq!(
+                    fast, reference,
+                    "case {} (irq at {at}) on {}: fast path differs from reference",
+                    tc.name, cfg.name
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared >= 120, "{}: only {compared} sweep cases", cfg.name);
     }
 }
 
@@ -157,13 +204,15 @@ fn full_corpus_streaming_outputs_are_byte_identical_across_designs() {
 }
 
 /// The comparison is not a no-op: with the fast path on, the decode
-/// cache and scan elision actually engage over the corpus.
+/// cache, scan elision and quiescent-cycle fast-forward actually engage
+/// over the corpus.
 #[test]
 fn fast_arm_actually_takes_the_fast_path() {
     let cfg = CoreConfig::boom();
     let corpus = Fuzzer::with_target(8).generate(&cfg);
     let mut hits = 0u64;
     let mut skips = 0u64;
+    let mut skipped_cycles = 0u64;
     for tc in &corpus {
         let outcome = run_case_opts(
             tc,
@@ -177,7 +226,9 @@ fn fast_arm_actually_takes_the_fast_path() {
         let stats = outcome.platform.core.fast_path_stats();
         hits += stats.decode.hits;
         skips += stats.scan_skips;
+        skipped_cycles += stats.skipped_cycles;
     }
     assert!(hits > 0, "decode cache never hit");
     assert!(skips > 0, "dirty-scan elision never engaged");
+    assert!(skipped_cycles > 0, "no quiescent cycle was fast-forwarded");
 }
