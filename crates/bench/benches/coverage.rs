@@ -61,11 +61,7 @@ fn bench_report_render(c: &mut Criterion) {
         },
     )
     .run_corpus(&corpus, PhaseTiming::default());
-    let pc = result
-        .engine
-        .as_ref()
-        .and_then(|m| m.plan_coverage.clone())
-        .expect("coverage on");
+    let pc = result.engine.plan_coverage.clone().expect("coverage on");
     let mut g = c.benchmark_group("coverage_report");
     g.sample_size(20);
     g.bench_function("render_heatmap", |b| {

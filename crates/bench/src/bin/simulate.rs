@@ -45,7 +45,7 @@ fn run_arm(cfg: &CoreConfig, cases: usize, fast: bool) -> Arm {
             ..EngineOptions::default()
         });
         *r = t0.elapsed().as_secs_f64() * 1e3;
-        let metrics = result.engine.expect("engine metrics");
+        let metrics = result.engine;
         assert_eq!(
             metrics.cases_quarantined, 0,
             "quarantines would skew the A/B"

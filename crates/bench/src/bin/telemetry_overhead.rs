@@ -76,8 +76,7 @@ fn run_once(cfg: &CoreConfig, cases: usize, threads: usize, arm: &Arm) -> f64 {
     let (result, _) = campaign.run_engine(opts);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
-        result.engine.as_ref().map_or(0, |m| m.cases_quarantined),
-        0,
+        result.engine.cases_quarantined, 0,
         "quarantines would skew the A/B"
     );
     if let Some((_server, stop, scraper)) = infra {

@@ -626,8 +626,7 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let campaign =
-        Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases)).keep_reports();
+    let campaign = Campaign::new(opts.design.clone(), Fuzzer::with_target(opts.cases));
     let (result, reports) = campaign.run_engine(EngineOptions {
         threads: opts.threads,
         case_cycle_budget: opts.case_cycle_budget,
@@ -647,7 +646,7 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
         telemetry: telemetry.as_ref().map(|(h, _)| h.clone()),
         checkpoint: checkpoint_options(opts, None),
     });
-    let metrics = result.engine.as_ref().expect("engine metrics");
+    let metrics = &result.engine;
     println!(
         "{}: {} cases, {} leaking, {} quarantined, {} over budget, classes {:?}",
         result.design,
@@ -734,10 +733,14 @@ fn cmd_campaign(opts: &Opts) -> ExitCode {
 }
 
 fn cmd_matrix(opts: &Opts) -> ExitCode {
+    let engine_opts = || EngineOptions {
+        threads: opts.threads,
+        ..EngineOptions::default()
+    };
     let (boom, _) = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(opts.cases))
-        .run_parallel(opts.threads);
+        .run_engine(engine_opts());
     let (xs, _) = Campaign::new(CoreConfig::xiangshan(), Fuzzer::with_target(opts.cases))
-        .run_parallel(opts.threads);
+        .run_engine(engine_opts());
     print!("{}", vulnerability_matrix(&[&boom, &xs]));
     ExitCode::SUCCESS
 }
@@ -1031,8 +1034,11 @@ fn cmd_coverage_report(opts: &Opts) -> ExitCode {
         },
     );
     let (result, _) = engine.run_corpus(&corpus, teesec::campaign::PhaseTiming::default());
-    let metrics = result.engine.as_ref().expect("engine metrics");
-    let pc = metrics.plan_coverage.as_ref().expect("coverage was on");
+    let pc = result
+        .engine
+        .plan_coverage
+        .as_ref()
+        .expect("coverage was on");
 
     let blob = pc.report_json();
     if let Some(p) = &opts.output {

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use teesec_uarch::config::CoreConfig;
 
-use crate::engine::{execute_case, Engine, EngineMetrics, EngineOptions, ExecOptions};
+use crate::engine::{Engine, EngineMetrics, EngineOptions};
 use crate::fuzz::Fuzzer;
 use crate::paths::AccessPath;
 use crate::plan::VerificationPlan;
@@ -62,8 +62,8 @@ pub struct CampaignResult {
     pub classes_found: BTreeSet<LeakClass>,
     /// Phase costs.
     pub timing: PhaseTiming,
-    /// Engine observability; `None` for the serial reference path.
-    pub engine: Option<EngineMetrics>,
+    /// Engine observability.
+    pub engine: EngineMetrics,
 }
 
 impl CampaignResult {
@@ -94,6 +94,11 @@ impl CampaignResult {
 
 /// A campaign: a design under test plus a fuzzer.
 ///
+/// Every run goes through the [`Engine`], whose one fold absorbs the
+/// cases in corpus order. The live telemetry and the checkpoint files are
+/// views of that fold, so the result is the same at any worker count and
+/// with or without them.
+///
 /// ```
 /// use teesec::campaign::Campaign;
 /// use teesec::fuzz::Fuzzer;
@@ -107,23 +112,12 @@ impl CampaignResult {
 pub struct Campaign {
     cfg: CoreConfig,
     fuzzer: Fuzzer,
-    keep_reports: bool,
 }
 
 impl Campaign {
     /// A campaign over `cfg` with the given fuzzer.
     pub fn new(cfg: CoreConfig, fuzzer: Fuzzer) -> Campaign {
-        Campaign {
-            cfg,
-            fuzzer,
-            keep_reports: false,
-        }
-    }
-
-    /// Also retain full per-case reports (memory-heavier).
-    pub fn keep_reports(mut self) -> Campaign {
-        self.keep_reports = true;
-        self
+        Campaign { cfg, fuzzer }
     }
 
     /// The design configuration.
@@ -153,68 +147,18 @@ impl Campaign {
     }
 
     /// Runs the campaign on the work-stealing [`Engine`] with full control
-    /// over isolation, watchdog, and observability options.
-    /// `opts.keep_reports` is overridden by [`Campaign::keep_reports`].
-    ///
-    /// The returned result equals [`Campaign::run`]'s at any thread count,
-    /// modulo `timing` and the attached [`EngineMetrics`].
-    pub fn run_engine(&self, mut opts: EngineOptions) -> (CampaignResult, Vec<CheckReport>) {
+    /// over workers, isolation, watchdog, report retention and
+    /// observability options.
+    pub fn run_engine(&self, opts: EngineOptions) -> (CampaignResult, Vec<CheckReport>) {
         let (corpus, timing) = self.prepare();
-        opts.keep_reports = self.keep_reports;
         Engine::new(self.cfg.clone(), opts).run_corpus(&corpus, timing)
     }
 
-    /// Runs the campaign across `threads` engine workers. Cases are
-    /// independent (each builds its own platform), so results are identical
-    /// to [`Campaign::run`] — only wall-clock changes. Per-phase timing is
-    /// summed across workers (CPU time, not wall time).
-    pub fn run_parallel(&self, threads: usize) -> (CampaignResult, Vec<CheckReport>) {
-        self.run_engine(EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        })
-    }
-
-    /// Runs the whole campaign serially — the reference implementation the
-    /// engine is checked against. Returns the aggregate result and, when
-    /// [`Campaign::keep_reports`] was requested, the per-case reports.
-    ///
+    /// Runs the campaign on one engine worker with the default options.
     /// Cases that fail to build or panic are quarantined into
-    /// [`CaseResult::error`], exactly as the engine does.
+    /// [`CaseResult::error`]; no reports are retained.
     pub fn run(&self) -> (CampaignResult, Vec<CheckReport>) {
-        let (corpus, mut timing) = self.prepare();
-
-        let mut cases = Vec::with_capacity(corpus.len());
-        let mut classes_found = BTreeSet::new();
-        let mut reports = Vec::new();
-        for tc in &corpus {
-            let exec = execute_case(
-                tc,
-                &self.cfg,
-                ExecOptions {
-                    keep_report: self.keep_reports,
-                    ..ExecOptions::default()
-                },
-            );
-            timing.simulate_us += exec.build_us + exec.simulate_us;
-            timing.check_us += exec.check_us;
-            classes_found.extend(exec.result.classes.iter().copied());
-            cases.push(exec.result);
-            if let Some(report) = exec.report {
-                reports.push(report);
-            }
-        }
-        (
-            CampaignResult {
-                design: self.cfg.name.clone(),
-                case_count: cases.len(),
-                cases,
-                classes_found,
-                timing,
-                engine: None,
-            },
-            reports,
-        )
+        self.run_engine(EngineOptions::default())
     }
 }
 
@@ -259,7 +203,10 @@ mod tests {
     fn parallel_run_matches_serial() {
         let campaign = Campaign::new(CoreConfig::xiangshan(), Fuzzer::with_target(24));
         let (serial, _) = campaign.run();
-        let (parallel, _) = campaign.run_parallel(4);
+        let (parallel, _) = campaign.run_engine(EngineOptions {
+            threads: 4,
+            ..EngineOptions::default()
+        });
         assert_eq!(parallel.case_count, serial.case_count);
         assert_eq!(parallel.classes_found, serial.classes_found);
         let names_s: Vec<_> = serial.cases.iter().map(|c| &c.name).collect();

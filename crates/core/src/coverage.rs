@@ -17,8 +17,8 @@
 //!   stream as [`EngineEvent::CaseCoverage`](crate::engine::EngineEvent)
 //!   — including the case's secret-residency windows derived from the
 //!   provenance tracer's hop data;
-//! * [`PlanCoverage`] is the campaign-lifetime aggregate merged across
-//!   engine workers into
+//! * [`PlanCoverage`] is the campaign-lifetime aggregate the engine folds
+//!   every case into, in corpus order, as
 //!   [`EngineMetrics::plan_coverage`](crate::engine::EngineMetrics):
 //!   per-cell exercise counts, per-structure residency histograms, the
 //!   coverage ratio, and the explicit gap list rendered by
@@ -452,34 +452,6 @@ impl PlanCoverage {
         }
     }
 
-    /// Folds another aggregate into this one — the shard-merge the live
-    /// telemetry publisher uses. Merging per-worker aggregates is
-    /// equivalent to absorbing every case into one aggregate: exercise
-    /// counts and `cases_recorded` add, class sets union, residency
-    /// histograms merge, and the worst window keeps whichever case's
-    /// window is longest.
-    pub fn merge(&mut self, other: &PlanCoverage) {
-        self.cases_recorded += other.cases_recorded;
-        for oc in &other.cells {
-            let cell = self.cell_mut(oc.cell);
-            cell.declared |= oc.declared;
-            cell.cases_exercised += oc.cases_exercised;
-            for &c in &oc.classes {
-                if let Err(i) = cell.classes.binary_search(&c) {
-                    cell.classes.insert(i, c);
-                }
-            }
-        }
-        for or in &other.residency {
-            let r = self.residency_mut(or.structure);
-            r.windows.merge(&or.windows);
-            if r.worst_case.is_none() || or.worst_cycles > r.worst_cycles {
-                r.worst_cycles = or.worst_cycles;
-                r.worst_case.clone_from(&or.worst_case);
-            }
-        }
-    }
-
     /// Declared cells in the matrix.
     pub fn declared(&self) -> usize {
         self.cells.iter().filter(|c| c.declared).count()
@@ -830,69 +802,5 @@ mod tests {
         let json = serde_json::to_string(&cc).expect("serialize");
         let back: CaseCoverage = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, cc);
-    }
-
-    #[test]
-    fn merging_shards_equals_absorbing_every_case() {
-        let key_a = CellKey {
-            structure: Structure::Lfb,
-            transition: TransitionPoint::EnclaveExit,
-            observer: ObserverKind::Monitor,
-        };
-        let key_b = CellKey {
-            structure: Structure::L1d,
-            transition: TransitionPoint::MonitorReturn,
-            observer: ObserverKind::Host,
-        };
-        let cc_a = CaseCoverage {
-            exercised: vec![key_a],
-            detected: vec![DetectedCell {
-                cell: key_a,
-                classes: vec![LeakClass::D2],
-            }],
-            residency: vec![ResidencyWindow {
-                structure: Structure::Lfb,
-                secret_addr: 1,
-                start_cycle: 0,
-                end_cycle: 50,
-            }],
-        };
-        let cc_b = CaseCoverage {
-            exercised: vec![key_a, key_b],
-            detected: Vec::new(),
-            residency: vec![ResidencyWindow {
-                structure: Structure::Lfb,
-                secret_addr: 2,
-                start_cycle: 10,
-                end_cycle: 200,
-            }],
-        };
-
-        let cfg = CoreConfig::boom();
-        let mut all = PlanCoverage::for_design(&cfg);
-        all.absorb("case_a", &cc_a);
-        all.absorb("case_b", &cc_b);
-
-        let mut shard1 = PlanCoverage::for_design(&cfg);
-        shard1.absorb("case_a", &cc_a);
-        let mut shard2 = PlanCoverage::for_design(&cfg);
-        shard2.absorb("case_b", &cc_b);
-        shard1.merge(&shard2);
-        assert_eq!(shard1, all);
-        assert_eq!(
-            shard1
-                .residency
-                .iter()
-                .find(|r| r.structure == Structure::Lfb)
-                .expect("merged residency")
-                .worst_case
-                .as_deref(),
-            Some("case_b")
-        );
-
-        // Merging an untouched seed is the identity.
-        let before = shard1.clone();
-        shard1.merge(&PlanCoverage::for_design(&cfg));
-        assert_eq!(shard1, before);
     }
 }

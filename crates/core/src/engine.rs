@@ -1,13 +1,14 @@
 //! The campaign engine: a fault-isolated, work-stealing executor for
-//! simulate-then-check corpora.
-//!
-//! [`Campaign::run`](crate::campaign::Campaign::run) is the serial reference
-//! implementation; the engine produces the *same* [`CampaignResult`] (modulo
-//! timing and the attached [`EngineMetrics`]) at any worker count, because
+//! simulate-then-check corpora, and the one path every campaign runs
+//! through — [`Campaign::run`](crate::campaign::Campaign::run) is this
+//! engine at one worker. The [`CampaignResult`] is the same (modulo timing
+//! and the run-wide samples in [`EngineMetrics`]) at any worker count,
+//! because
 //!
 //! * workers pull case indices from one shared atomic cursor (work stealing
 //!   over the corpus — no static chunking, so stragglers cannot idle a
-//!   worker), and results are re-sorted into corpus order before merging;
+//!   worker), and one `CampaignFold` absorbs their executions strictly in
+//!   corpus order, buffering early arrivals;
 //! * every case runs under [`std::panic::catch_unwind`]: a case that fails
 //!   to build or panics mid-simulation is *quarantined* — recorded as a
 //!   [`CaseResult`] carrying the error text — instead of poisoning the
@@ -21,10 +22,10 @@
 //! aggregate [`EngineMetrics`] lands in
 //! [`CampaignResult::engine`](crate::campaign::CampaignResult::engine).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -41,7 +42,7 @@ use crate::campaign::{CampaignResult, CaseResult, PhaseTiming};
 use crate::checker::replay;
 use crate::coverage::{CaseCoverage, PlanCoverage};
 use crate::diff::{diff_case, DiffOptions, DiffVerdict};
-use crate::report::CheckReport;
+use crate::report::{CheckReport, LeakClass};
 use crate::runner::{run_case_opts, RunOptions, SnapshotCache, SnapshotCacheMetrics};
 use crate::stream::StreamingChecker;
 use crate::testcase::TestCase;
@@ -490,11 +491,9 @@ impl DiffMetrics {
 }
 
 impl EngineMetrics {
-    /// Folds one finished case into the aggregate — the single folding
-    /// path shared by the end-of-run merge loop and the live-telemetry
-    /// publisher, so a mid-flight `/metrics` scrape aggregates cases
-    /// exactly the way the final exposition does.
-    pub(crate) fn fold_case(&mut self, exec: &CaseExecution) {
+    /// Folds one finished case into the aggregate. Its only caller is
+    /// [`CampaignFold::absorb`], which calls it in corpus order.
+    fn fold_case(&mut self, exec: &CaseExecution) {
         self.cases_quarantined += usize::from(exec.result.error.is_some());
         self.cases_budget_exceeded += usize::from(exec.budget_exceeded);
         self.findings_total += exec.result.finding_count;
@@ -600,8 +599,8 @@ impl ObsMetrics {
     }
 }
 
-/// The outcome of executing one case (shared by serial and engine paths).
-pub(crate) struct CaseExecution {
+/// The outcome of executing one case, handed to the [`CampaignFold`].
+struct CaseExecution {
     pub result: CaseResult,
     pub report: Option<CheckReport>,
     pub findings_by_structure: BTreeMap<String, usize>,
@@ -622,8 +621,8 @@ pub(crate) struct CaseExecution {
 
 /// Per-case execution knobs for [`execute_case`] (the engine-independent
 /// subset of [`EngineOptions`], plus the shared snapshot cache).
-#[derive(Default, Clone, Copy)]
-pub(crate) struct ExecOptions<'c> {
+#[derive(Clone, Copy)]
+struct ExecOptions<'c> {
     pub keep_report: bool,
     pub budget: Option<u64>,
     pub counters: bool,
@@ -657,11 +656,7 @@ fn new_checker(tc: &TestCase, cfg: &CoreConfig, coverage: bool) -> StreamingChec
 /// checked by one [`StreamingChecker`]: with `opts.streaming` it runs
 /// online as the trace sink and the check phase shrinks to the finalize
 /// step; otherwise the buffered trace is replayed into it after the run.
-pub(crate) fn execute_case(
-    tc: &TestCase,
-    cfg: &CoreConfig,
-    opts: ExecOptions<'_>,
-) -> CaseExecution {
+fn execute_case(tc: &TestCase, cfg: &CoreConfig, opts: ExecOptions<'_>) -> CaseExecution {
     let quarantined = |error: String| CaseExecution {
         result: CaseResult {
             name: tc.name.clone(),
@@ -813,46 +808,147 @@ const LIVE_PUBLISH_EVERY: usize = 8;
 /// publication per second anyway).
 const LIVE_PUBLISH_MIN_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
 
-/// The running mid-flight aggregate behind the live publisher and the
-/// crash-durability checkpointer: every finished case is folded in by
-/// its worker (via [`EngineMetrics::fold_case`], the same path the
-/// end-of-run merge uses), and a publishing worker clones the whole
-/// state out of the lock so rendering never blocks its peers.
-#[derive(Clone)]
-struct LiveState {
-    metrics: EngineMetrics,
-    cases: Vec<CaseResult>,
-    classes: std::collections::BTreeSet<crate::report::LeakClass>,
-    finished: usize,
+/// Live-publication and checkpoint bookkeeping. It sits under the fold's
+/// lock, so exactly one worker claims each due publication.
+struct Cadence {
     last_publish: usize,
     last_publish_at: Instant,
     last_checkpoint: usize,
 }
 
-/// Builds the interim [`CampaignResult`] a mid-flight publication or
-/// checkpoint describes: the cases folded so far, with wall time,
-/// snapshot-cache counters, and trace analysis sampled live.
-fn live_result(
-    cfg: &CoreConfig,
-    opts: &EngineOptions,
-    st: &LiveState,
-    wall_us: u128,
-    cache: Option<&SnapshotCache>,
-) -> CampaignResult {
-    let mut metrics = st.metrics.clone();
-    metrics.wall_us = wall_us;
-    metrics.snapshot = cache.map(SnapshotCache::metrics);
-    metrics.trace = opts
-        .tracer
-        .enabled()
-        .then(|| opts.tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
-    CampaignResult {
-        design: cfg.name.clone(),
-        case_count: st.finished,
-        cases: st.cases.clone(),
-        classes_found: st.classes.clone(),
-        timing: PhaseTiming::default(),
-        engine: Some(metrics),
+impl Cadence {
+    fn new() -> Cadence {
+        Cadence {
+            last_publish: 0,
+            last_publish_at: Instant::now(),
+            last_checkpoint: 0,
+        }
+    }
+
+    /// Whether a live publication and a checkpoint are due now that
+    /// `arrived` cases have finished; claims each one that is.
+    fn due(&mut self, arrived: usize, opts: &EngineOptions) -> (bool, bool) {
+        let publish = opts.telemetry.is_some()
+            && arrived - self.last_publish >= LIVE_PUBLISH_EVERY
+            && self.last_publish_at.elapsed() >= LIVE_PUBLISH_MIN_INTERVAL;
+        if publish {
+            self.last_publish = arrived;
+            self.last_publish_at = Instant::now();
+        }
+        let checkpoint = opts
+            .checkpoint
+            .as_ref()
+            .is_some_and(|c| arrived - self.last_checkpoint >= c.every.max(1));
+        if checkpoint {
+            self.last_checkpoint = arrived;
+        }
+        (publish, checkpoint)
+    }
+}
+
+/// The one fold from case executions into a [`CampaignResult`].
+///
+/// Workers hand it `(seq, execution)` pairs in the order they finish. It
+/// buffers executions that arrive ahead of the absorbed prefix and
+/// absorbs strictly in corpus order, so every aggregate is the same at
+/// any worker count — including [`PlanCoverage`]'s worst residency
+/// window, which keeps the first case on a cycle tie. The live
+/// `/metrics`, `/status` and `/coverage` publications, the checkpoint
+/// files and the returned result are all views of this fold.
+struct CampaignFold {
+    design: String,
+    metrics: EngineMetrics,
+    cases: Vec<CaseResult>,
+    classes: BTreeSet<LeakClass>,
+    timing: PhaseTiming,
+    reports: Vec<CheckReport>,
+    /// Executions that finished ahead of the absorbed prefix, by seq.
+    pending: BTreeMap<usize, CaseExecution>,
+    /// Cases handed in so far, absorbed or pending.
+    arrived: usize,
+    /// Quarantined cases among the arrivals.
+    quarantined: usize,
+    /// Build + simulate + check time of the arrivals, µs.
+    case_us_sum: u64,
+}
+
+impl CampaignFold {
+    /// An empty fold over `metrics` (as seeded by the engine) and the
+    /// plan/construct costs in `timing`.
+    fn new(design: String, metrics: EngineMetrics, timing: PhaseTiming) -> CampaignFold {
+        CampaignFold {
+            design,
+            metrics,
+            cases: Vec::new(),
+            classes: BTreeSet::new(),
+            timing,
+            reports: Vec::new(),
+            pending: BTreeMap::new(),
+            arrived: 0,
+            quarantined: 0,
+            case_us_sum: 0,
+        }
+    }
+
+    /// Hands in the execution of corpus entry `seq`, then absorbs every
+    /// buffered execution that extends the contiguous seq-prefix.
+    fn absorb(&mut self, seq: usize, exec: CaseExecution) {
+        self.arrived += 1;
+        self.quarantined += usize::from(exec.result.error.is_some());
+        let case_us = exec.build_us + exec.simulate_us + exec.check_us;
+        self.case_us_sum = self
+            .case_us_sum
+            .saturating_add(case_us.min(u128::from(u64::MAX)) as u64);
+        self.pending.insert(seq, exec);
+        while let Some(exec) = self.pending.remove(&self.cases.len()) {
+            self.metrics.fold_case(&exec);
+            // Table 2 semantics: "simulate" covers platform build + run.
+            self.timing.simulate_us += exec.build_us + exec.simulate_us;
+            self.timing.check_us += exec.check_us;
+            self.classes.extend(exec.result.classes.iter().copied());
+            self.cases.push(exec.result);
+            self.reports.extend(exec.report);
+        }
+    }
+
+    /// Progress over the arrivals: a case that finished ahead of a
+    /// straggler counts as done before the prefix absorbs it.
+    fn progress(&self, elapsed_us: u64) -> ProgressModel {
+        ProgressModel {
+            done: self.arrived,
+            total: self.metrics.cases_total,
+            quarantined: self.quarantined,
+            elapsed_us,
+            threads: self.metrics.threads,
+            mean_case_us: (self.arrived > 0).then(|| self.case_us_sum / self.arrived as u64),
+        }
+    }
+
+    /// The absorbed seq-prefix as a result — what a live publication or
+    /// a checkpoint renders.
+    fn view(&self) -> CampaignResult {
+        CampaignResult {
+            design: self.design.clone(),
+            case_count: self.cases.len(),
+            cases: self.cases.clone(),
+            classes_found: self.classes.clone(),
+            timing: self.timing,
+            engine: self.metrics.clone(),
+        }
+    }
+
+    /// The final result and the retained reports.
+    fn finish(self) -> (CampaignResult, Vec<CheckReport>) {
+        debug_assert!(self.pending.is_empty(), "a seq never arrived");
+        let result = CampaignResult {
+            design: self.design,
+            case_count: self.cases.len(),
+            cases: self.cases,
+            classes_found: self.classes,
+            timing: self.timing,
+            engine: self.metrics,
+        };
+        (result, self.reports)
     }
 }
 
@@ -868,9 +964,9 @@ fn render_status(
     events_dropped: u64,
 ) -> String {
     use serde_json::Value;
-    let engine = result.engine.as_ref();
+    let engine = &result.engine;
     let uint = |v: u64| Value::UInt(u128::from(v));
-    let phases = engine.and_then(|e| e.obs.as_ref()).map_or_else(
+    let phases = engine.obs.as_ref().map_or_else(
         || Value::Array(Vec::new()),
         |obs| {
             Value::Array(
@@ -889,7 +985,7 @@ fn render_status(
             )
         },
     );
-    let workers = engine.and_then(|e| e.trace.as_ref()).map_or_else(
+    let workers = engine.trace.as_ref().map_or_else(
         || Value::Array(Vec::new()),
         |trace| {
             Value::Array(
@@ -906,33 +1002,30 @@ fn render_status(
             )
         },
     );
-    let snapshot_cache = engine
-        .and_then(|e| e.snapshot.as_ref())
-        .map_or(Value::Null, |s| {
-            Value::Object(vec![
-                ("hits".to_string(), uint(s.hits)),
-                ("misses".to_string(), uint(s.misses)),
-                ("bypasses".to_string(), uint(s.bypasses)),
-                ("capture_us".to_string(), uint(s.capture_us)),
-            ])
-        });
-    let fastpath = engine
-        .and_then(|e| e.fastpath.as_ref())
-        .map_or(Value::Null, |fp| {
-            Value::Object(vec![
-                ("cases".to_string(), Value::UInt(fp.cases as u128)),
-                ("decode_hits".to_string(), uint(fp.decode_hits)),
-                ("decode_misses".to_string(), uint(fp.decode_misses)),
-                (
-                    "decode_invalidations".to_string(),
-                    uint(fp.decode_invalidations),
-                ),
-                ("scan_checks".to_string(), uint(fp.scan_checks)),
-                ("scan_skips".to_string(), uint(fp.scan_skips)),
-            ])
-        });
+    let snapshot_cache = engine.snapshot.as_ref().map_or(Value::Null, |s| {
+        Value::Object(vec![
+            ("hits".to_string(), uint(s.hits)),
+            ("misses".to_string(), uint(s.misses)),
+            ("bypasses".to_string(), uint(s.bypasses)),
+            ("capture_us".to_string(), uint(s.capture_us)),
+        ])
+    });
+    let fastpath = engine.fastpath.as_ref().map_or(Value::Null, |fp| {
+        Value::Object(vec![
+            ("cases".to_string(), Value::UInt(fp.cases as u128)),
+            ("decode_hits".to_string(), uint(fp.decode_hits)),
+            ("decode_misses".to_string(), uint(fp.decode_misses)),
+            (
+                "decode_invalidations".to_string(),
+                uint(fp.decode_invalidations),
+            ),
+            ("scan_checks".to_string(), uint(fp.scan_checks)),
+            ("scan_skips".to_string(), uint(fp.scan_skips)),
+        ])
+    });
     let coverage_ratio = engine
-        .and_then(|e| e.plan_coverage.as_ref())
+        .plan_coverage
+        .as_ref()
         .map_or(Value::Null, |pc| uint(pc.coverage_ratio_ppm()));
     let status = Value::Object(vec![
         ("design".to_string(), Value::String(result.design.clone())),
@@ -945,11 +1038,11 @@ fn render_status(
         ),
         (
             "budget_exceeded".to_string(),
-            Value::UInt(engine.map_or(0, |e| e.cases_budget_exceeded) as u128),
+            Value::UInt(engine.cases_budget_exceeded as u128),
         ),
         (
             "findings_total".to_string(),
-            Value::UInt(engine.map_or(0, |e| e.findings_total) as u128),
+            Value::UInt(engine.findings_total as u128),
         ),
         ("progress_ppm".to_string(), uint(model.progress_ppm())),
         ("elapsed_us".to_string(), uint(model.elapsed_us)),
@@ -975,11 +1068,7 @@ fn publish_live(hub: &MetricsHub, result: &CampaignResult, model: &ProgressModel
     let snap = crate::metrics::live_campaign_snapshot(result, model.progress_ppm(), dropped);
     hub.publish_metrics(snap.render_prometheus());
     hub.publish_status(render_status(result, model, complete, dropped));
-    if let Some(pc) = result
-        .engine
-        .as_ref()
-        .and_then(|e| e.plan_coverage.as_ref())
-    {
+    if let Some(pc) = &result.engine.plan_coverage {
         hub.publish_coverage(
             serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage report"),
         );
@@ -1001,13 +1090,7 @@ fn write_checkpoint(
     if let Err(e) = crate::metrics::write_checkpoint_files(&snap, &ckpt.path) {
         eprintln!("teesec: metrics checkpoint failed: {e}");
     }
-    if let (Some(path), Some(pc)) = (
-        &ckpt.coverage_out,
-        result
-            .engine
-            .as_ref()
-            .and_then(|e| e.plan_coverage.as_ref()),
-    ) {
+    if let (Some(path), Some(pc)) = (&ckpt.coverage_out, &result.engine.plan_coverage) {
         let json =
             serde_json::to_string_pretty(&pc.report_json()).expect("serialize coverage report");
         if let Err(e) = crate::metrics::write_partial_json(&json, path) {
@@ -1043,12 +1126,18 @@ impl Engine {
     /// Executes every case in `corpus`, in any order, and returns results
     /// in corpus order plus (when `keep_reports`) the per-case reports.
     ///
+    /// Every execution goes through one `CampaignFold`, which absorbs
+    /// cases in corpus order. The live telemetry publications and the
+    /// checkpoint files render views of its absorbed prefix, and the
+    /// returned result is its final view, so publishing or checkpointing
+    /// never changes what the run returns.
+    ///
     /// `timing` carries the plan/construct phase costs measured by the
     /// caller; simulate/check costs are summed across workers (CPU time).
     pub fn run_corpus(
         &self,
         corpus: &[TestCase],
-        mut timing: PhaseTiming,
+        timing: PhaseTiming,
     ) -> (CampaignResult, Vec<CheckReport>) {
         let threads = self.opts.threads.max(1);
         let t0 = Instant::now();
@@ -1075,50 +1164,31 @@ impl Engine {
         );
 
         let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let quarantined_ctr = AtomicUsize::new(0);
-        let case_us_sum = AtomicU64::new(0);
         let snapshot_cache = self.opts.snapshot_cache.then(SnapshotCache::new);
-        let live = (hub.is_some() || self.opts.checkpoint.is_some()).then(|| {
-            Mutex::new(LiveState {
-                metrics: self.seed_metrics(threads, corpus.len()),
-                cases: Vec::new(),
-                classes: std::collections::BTreeSet::new(),
-                finished: 0,
-                last_publish: 0,
-                last_publish_at: Instant::now(),
-                last_checkpoint: 0,
-            })
-        });
+        let fold = CampaignFold::new(
+            self.cfg.name.clone(),
+            self.seed_metrics(threads, corpus.len()),
+            timing,
+        );
         // Serve real (empty) artifacts from the first accept onward —
         // a scraper that beats the first publish batch must not see 503.
-        if let (Some(hub), Some(live)) = (hub, &live) {
-            let st = live.lock().expect("live state poisoned").clone();
-            let result = live_result(&self.cfg, &self.opts, &st, 0, snapshot_cache.as_ref());
-            let model = ProgressModel {
-                done: 0,
-                total: corpus.len(),
-                quarantined: 0,
-                elapsed_us: 0,
-                threads,
-                mean_case_us: None,
-            };
-            publish_live(hub, &result, &model, false);
+        if let Some(hub) = hub {
+            let mut result = fold.view();
+            self.stamp(&mut result.engine, t0, snapshot_cache.as_ref());
+            publish_live(hub, &result, &fold.progress(elapsed_us(t0)), false);
         }
-        let mut per_worker: Vec<Vec<(usize, CaseExecution)>> = Vec::new();
+        let shared = Mutex::new((fold, Cadence::new()));
+        let mut cases_per_worker = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for worker in 0..threads {
                 let cursor = &cursor;
-                let done = &done;
-                let quarantined_ctr = &quarantined_ctr;
-                let case_us_sum = &case_us_sum;
-                let live = &live;
+                let shared = &shared;
                 let opts = &self.opts;
                 let cfg = &self.cfg;
                 let snapshot_cache = snapshot_cache.as_ref();
                 handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
+                    let mut executed = 0;
                     let mut wspan = opts.tracer.span(worker, "worker", campaign_id);
                     let worker_id = wspan.id();
                     loop {
@@ -1237,100 +1307,43 @@ impl Engine {
                                 );
                             }
                         }
-                        if exec.result.error.is_some() {
-                            quarantined_ctr.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let case_us = (exec.build_us + exec.simulate_us + exec.check_us)
-                            .min(u128::from(u64::MAX)) as u64;
-                        case_us_sum.fetch_add(case_us, Ordering::Relaxed);
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(live) = live {
-                            // Fold under the lock; the worker that crosses a
-                            // cadence threshold clones the state out and does
-                            // the (comparatively expensive) rendering and I/O
-                            // outside it.
-                            let decision = {
-                                let mut st = live.lock().expect("live state poisoned");
-                                st.metrics.fold_case(&exec);
-                                st.classes.extend(exec.result.classes.iter().copied());
-                                st.cases.push(exec.result.clone());
-                                st.finished += 1;
-                                let publish = opts.telemetry.is_some()
-                                    && st.finished - st.last_publish >= LIVE_PUBLISH_EVERY
-                                    && st.last_publish_at.elapsed() >= LIVE_PUBLISH_MIN_INTERVAL;
-                                if publish {
-                                    st.last_publish = st.finished;
-                                    st.last_publish_at = Instant::now();
-                                }
-                                let checkpoint = opts.checkpoint.as_ref().is_some_and(|c| {
-                                    st.finished - st.last_checkpoint >= c.every.max(1)
-                                });
-                                if checkpoint {
-                                    st.last_checkpoint = st.finished;
-                                }
-                                (publish || checkpoint).then(|| (st.clone(), publish, checkpoint))
-                            };
-                            if let Some((st, publish, checkpoint)) = decision {
-                                let result = live_result(
-                                    cfg,
-                                    opts,
-                                    &st,
-                                    t0.elapsed().as_micros(),
-                                    snapshot_cache,
-                                );
-                                let model = ProgressModel {
-                                    done: st.finished,
-                                    total: corpus.len(),
-                                    quarantined: st.metrics.cases_quarantined,
-                                    elapsed_us: elapsed_us(t0),
-                                    threads,
-                                    mean_case_us: (st.finished > 0).then(|| {
-                                        case_us_sum.load(Ordering::Relaxed) / st.finished as u64
-                                    }),
-                                };
-                                if publish {
-                                    if let Some(hub) = opts.telemetry.as_ref() {
-                                        publish_live(hub, &result, &model, false);
-                                    }
-                                }
-                                if checkpoint {
-                                    if let Some(ckpt) = opts.checkpoint.as_ref() {
-                                        let dropped = opts
-                                            .telemetry
-                                            .as_ref()
-                                            .map_or(0, MetricsHub::events_dropped_total);
-                                        write_checkpoint(
-                                            ckpt,
-                                            &result,
-                                            model.progress_ppm(),
-                                            dropped,
-                                        );
-                                    }
-                                }
+                        executed += 1;
+                        // Absorb under the lock; a due view is cloned out so its
+                        // (comparatively expensive) rendering and I/O happen outside.
+                        let (due, progress) = {
+                            let mut guard = shared.lock().expect("campaign fold poisoned");
+                            let (fold, cadence) = &mut *guard;
+                            fold.absorb(seq, exec);
+                            let (publish, checkpoint) = cadence.due(fold.arrived, opts);
+                            let due =
+                                (publish || checkpoint).then(|| (fold.view(), publish, checkpoint));
+                            (due, fold.progress(elapsed_us(t0)))
+                        };
+                        if let Some((mut result, publish, checkpoint)) = due {
+                            self.stamp(&mut result.engine, t0, snapshot_cache);
+                            if let (true, Some(hub)) = (publish, &opts.telemetry) {
+                                publish_live(hub, &result, &progress, false);
+                            }
+                            if let (true, Some(ckpt)) = (checkpoint, &opts.checkpoint) {
+                                let dropped = opts
+                                    .telemetry
+                                    .as_ref()
+                                    .map_or(0, MetricsHub::events_dropped_total);
+                                write_checkpoint(ckpt, &result, progress.progress_ppm(), dropped);
                             }
                         }
                         if opts.progress {
-                            let model = ProgressModel {
-                                done: finished,
-                                total: corpus.len(),
-                                quarantined: quarantined_ctr.load(Ordering::Relaxed),
-                                elapsed_us: elapsed_us(t0),
-                                threads,
-                                mean_case_us: (finished > 0)
-                                    .then(|| case_us_sum.load(Ordering::Relaxed) / finished as u64),
-                            };
-                            // Trailing pad overwrites residue when the
-                            // rendered ETA shrinks between repaints.
-                            eprint!("\r{}   ", model.render_line());
+                            // Trailing pad overwrites residue when the rendered ETA
+                            // shrinks between repaints.
+                            eprint!("\r{}   ", progress.render_line());
                         }
-                        out.push((seq, exec));
                     }
-                    wspan.arg("cases", out.len());
-                    out
+                    wspan.arg("cases", executed);
+                    executed
                 }));
             }
             for h in handles {
-                per_worker.push(h.join().expect("engine worker panicked outside isolation"));
+                cases_per_worker.push(h.join().expect("engine worker panicked outside isolation"));
             }
         });
         if self.opts.progress && !corpus.is_empty() {
@@ -1338,79 +1351,47 @@ impl Engine {
         }
         drop(campaign_span);
 
-        let mut metrics = self.seed_metrics(threads, corpus.len());
-        metrics.cases_per_worker = per_worker.iter().map(Vec::len).collect();
-        metrics.wall_us = t0.elapsed().as_micros();
-        metrics.snapshot = snapshot_cache.as_ref().map(SnapshotCache::metrics);
-        metrics.trace = self
-            .opts
-            .tracer
-            .enabled()
-            .then(|| self.opts.tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
-        let mut flat: Vec<(usize, CaseExecution)> = per_worker.into_iter().flatten().collect();
-        flat.sort_by_key(|(seq, _)| *seq);
-
-        let mut cases = Vec::with_capacity(flat.len());
-        let mut classes_found = std::collections::BTreeSet::new();
-        let mut reports = Vec::new();
-        for (_, exec) in flat {
-            metrics.fold_case(&exec);
-            // Table 2 semantics: "simulate" covers platform build + run.
-            timing.simulate_us += exec.build_us + exec.simulate_us;
-            timing.check_us += exec.check_us;
-            classes_found.extend(exec.result.classes.iter().copied());
-            cases.push(exec.result);
-            if let Some(r) = exec.report {
-                reports.push(r);
-            }
-        }
-
+        let (fold, _) = shared.into_inner().expect("campaign fold poisoned");
+        let progress = fold.progress(elapsed_us(t0));
+        let (mut result, reports) = fold.finish();
+        result.engine.cases_per_worker = cases_per_worker;
+        self.stamp(&mut result.engine, t0, snapshot_cache.as_ref());
         emit_event(
             self.opts.events.as_ref(),
             hub,
             &EngineEvent::CampaignFinished {
-                metrics: metrics.clone(),
+                metrics: result.engine.clone(),
             },
         );
         if let Some(sink) = &self.opts.events {
             sink.flush();
         }
-        let result = CampaignResult {
-            design: self.cfg.name.clone(),
-            case_count: cases.len(),
-            cases,
-            classes_found,
-            timing,
-            engine: Some(metrics),
-        };
         // The final publication is built from the returned result itself
         // (after the last ring-buffer push), so the last live `/metrics`
         // scrape is byte-identical to a `--metrics-out` exposition
         // rendered from the same result.
         if let Some(hub) = hub {
-            let em = result
-                .engine
-                .as_ref()
-                .expect("engine metrics just attached");
-            let model = ProgressModel {
-                done: result.case_count,
-                total: result.case_count,
-                quarantined: em.cases_quarantined,
-                elapsed_us: elapsed_us(t0),
-                threads,
-                mean_case_us: (result.case_count > 0)
-                    .then(|| case_us_sum.load(Ordering::Relaxed) / result.case_count as u64),
-            };
-            publish_live(hub, &result, &model, true);
+            publish_live(hub, &result, &progress, true);
             hub.set_complete(true);
         }
         (result, reports)
     }
 
+    /// Stamps the run-wide samples no case execution carries — wall time,
+    /// snapshot-cache counters and the trace analysis — onto a view.
+    fn stamp(&self, metrics: &mut EngineMetrics, t0: Instant, cache: Option<&SnapshotCache>) {
+        metrics.wall_us = t0.elapsed().as_micros();
+        metrics.snapshot = cache.map(SnapshotCache::metrics);
+        metrics.trace = self
+            .opts
+            .tracer
+            .enabled()
+            .then(|| self.opts.tracer.snapshot().analyze(TRACE_TOP_STRAGGLERS));
+    }
+
     /// Seeds an [`EngineMetrics`] with the option-dependent aggregates
-    /// (deep obs, diff, plan coverage) present-but-zeroed — the shared
-    /// starting point of the end-of-run merge loop and the live
-    /// publisher's running state, so both aggregate identically.
+    /// (deep obs, diff, plan coverage) present-but-zeroed — the starting
+    /// point of the run's [`CampaignFold`].
     fn seed_metrics(&self, threads: usize, cases_total: usize) -> EngineMetrics {
         EngineMetrics {
             threads,
@@ -1471,6 +1452,7 @@ fn case_event(
 mod tests {
     use super::*;
     use crate::fuzz::Fuzzer;
+    use crate::report::LeakClass;
     use serde_json::Value;
 
     fn small_corpus(cfg: &CoreConfig, n: usize) -> Vec<TestCase> {
@@ -1544,7 +1526,7 @@ mod tests {
         let counter_lines = text.lines().filter(|l| l.contains("CaseCounters")).count();
         assert_eq!(counter_lines, 4);
 
-        let obs = result.engine.as_ref().unwrap().obs.as_ref().expect("obs");
+        let obs = result.engine.obs.as_ref().expect("obs");
         assert_eq!(obs.case_cycles.count(), 4);
         assert_eq!(obs.simulate_us.count(), 4);
         assert!(obs.uarch.cycles > 0, "aggregated cycles");
@@ -1588,13 +1570,7 @@ mod tests {
         let diff_lines = text.lines().filter(|l| l.contains("CaseDiff")).count();
         assert_eq!(diff_lines, 4, "one CaseDiff per case:\n{text}");
 
-        let dm = result
-            .engine
-            .as_ref()
-            .unwrap()
-            .diff
-            .as_ref()
-            .expect("diff metrics");
+        let dm = result.engine.diff.as_ref().expect("diff metrics");
         assert_eq!(dm.cases_compared, 4);
         assert_eq!(
             dm.divergences, 0,
@@ -1614,7 +1590,7 @@ mod tests {
             ..EngineOptions::default()
         };
         let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
-        assert_eq!(result.engine.as_ref().unwrap().diff, None);
+        assert_eq!(result.engine.diff, None);
     }
 
     #[test]
@@ -1681,10 +1657,164 @@ mod tests {
             ..EngineOptions::default()
         };
         let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
-        let metrics = result.engine.as_ref().unwrap();
+        let metrics = result.engine;
         assert_eq!(metrics.cases_budget_exceeded, 4);
         assert!(result.cases.iter().all(|c| !c.halted));
         assert!(result.cases.iter().all(|c| c.cycles <= 50));
+    }
+
+    /// A synthetic execution of corpus entry `seq` with one LFB residency
+    /// window of `window` cycles and a retained report.
+    fn synthetic_execution(seq: usize, window: u64) -> CaseExecution {
+        let name = format!("case{seq}");
+        let path = crate::paths::AccessPath::all()[seq % 3];
+        let class = LeakClass::all()[seq % LeakClass::all().len()];
+        CaseExecution {
+            result: CaseResult {
+                name: name.clone(),
+                path,
+                cycles: 1_000 + seq as u64,
+                halted: seq % 4 != 3,
+                classes: BTreeSet::from([class]),
+                finding_count: seq % 3,
+                error: None,
+            },
+            report: Some(CheckReport {
+                case: name,
+                path,
+                design: "boom".into(),
+                findings: Vec::new(),
+                provenance: Vec::new(),
+            }),
+            findings_by_structure: BTreeMap::from([("LFB".to_string(), seq % 3)]),
+            budget_exceeded: seq % 4 == 3,
+            build_us: 10,
+            simulate_us: 20 + seq as u128,
+            check_us: 5,
+            counters: None,
+            diff: None,
+            coverage: Some(CaseCoverage {
+                exercised: Vec::new(),
+                detected: Vec::new(),
+                residency: vec![crate::coverage::ResidencyWindow {
+                    structure: teesec_uarch::trace::Structure::Lfb,
+                    secret_addr: seq as u64,
+                    start_cycle: 0,
+                    end_cycle: window,
+                }],
+            }),
+            cache: None,
+            fastpath: None,
+        }
+    }
+
+    /// Folds the synthetic executions of `windows` arriving in `order`.
+    fn fold_in(order: &[usize], windows: &[u64]) -> CampaignFold {
+        let cfg = CoreConfig::boom();
+        let opts = EngineOptions {
+            coverage: true,
+            ..EngineOptions::default()
+        };
+        let metrics = Engine::new(cfg.clone(), opts).seed_metrics(2, windows.len());
+        let mut fold = CampaignFold::new(cfg.name.clone(), metrics, PhaseTiming::default());
+        for &seq in order {
+            fold.absorb(seq, synthetic_execution(seq, windows[seq]));
+        }
+        fold
+    }
+
+    #[test]
+    fn campaign_fold_absorbs_in_seq_order_whatever_the_arrival_order() {
+        // Cases 2 and 5 tie on the longest LFB residency window.
+        let windows = [10, 20, 50, 5, 30, 50, 1, 2];
+        let in_order: Vec<usize> = (0..windows.len()).collect();
+        let reversed: Vec<usize> = in_order.iter().rev().copied().collect();
+        let shuffled = [3, 7, 0, 5, 1, 6, 2, 4];
+        let (expected, expected_reports) = fold_in(&in_order, &windows).finish();
+        for order in [&reversed[..], &shuffled[..]] {
+            let (result, reports) = fold_in(order, &windows).finish();
+            assert_eq!(result, expected, "arrival order {order:?}");
+            assert_eq!(reports, expected_reports, "arrival order {order:?}");
+        }
+        let lfb = expected
+            .engine
+            .plan_coverage
+            .as_ref()
+            .expect("coverage seeded")
+            .residency
+            .iter()
+            .find(|r| r.structure == teesec_uarch::trace::Structure::Lfb)
+            .expect("LFB residency recorded");
+        assert_eq!(lfb.worst_cycles, 50);
+        assert_eq!(
+            lfb.worst_case.as_deref(),
+            Some("case2"),
+            "a cycle tie keeps the lower seq"
+        );
+    }
+
+    #[test]
+    fn campaign_fold_view_covers_exactly_the_contiguous_prefix() {
+        let windows = [10, 20, 50, 5, 30];
+        let fold = fold_in(&[1, 0, 3], &windows);
+        let view = fold.view();
+        let names: Vec<&str> = view.cases.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["case0", "case1"], "case3 waits for case2");
+        assert_eq!(view, fold_in(&[0, 1], &windows).view());
+        let progress = fold.progress(0);
+        assert_eq!((progress.done, progress.total), (3, windows.len()));
+
+        let mut fold = fold;
+        fold.absorb(2, synthetic_execution(2, windows[2]));
+        assert_eq!(fold.view(), fold_in(&[0, 1, 2, 3], &windows).view());
+    }
+
+    #[test]
+    fn live_publishing_and_checkpointing_leave_the_result_unchanged() {
+        let cfg = CoreConfig::boom();
+        let corpus = small_corpus(&cfg, 8);
+        let opts = || EngineOptions {
+            threads: 2,
+            keep_reports: true,
+            coverage: true,
+            ..EngineOptions::default()
+        };
+        let dir = std::env::temp_dir().join(format!("teesec-fold-views-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir
+            .join("metrics.prom")
+            .to_str()
+            .expect("utf-8 path")
+            .to_string();
+        let hub = MetricsHub::new(64);
+        let served = EngineOptions {
+            telemetry: Some(hub.clone()),
+            checkpoint: Some(CheckpointOptions {
+                path: path.clone(),
+                every: 1,
+                coverage_out: Some(format!("{path}.coverage.json")),
+            }),
+            ..opts()
+        };
+        let normalized = |(mut result, reports): (CampaignResult, Vec<CheckReport>)| {
+            result.timing = PhaseTiming::default();
+            result.engine.wall_us = 0;
+            // Which worker ran which case is scheduling, not result.
+            result.engine.cases_per_worker = Vec::new();
+            (result, reports)
+        };
+        let served = normalized(
+            Engine::new(cfg.clone(), served).run_corpus(&corpus, PhaseTiming::default()),
+        );
+        let plain =
+            normalized(Engine::new(cfg, opts()).run_corpus(&corpus, PhaseTiming::default()));
+        assert!(hub.complete(), "the served run published its final view");
+        assert!(
+            std::path::Path::new(&path).exists(),
+            "checkpoints were written"
+        );
+        assert_eq!(served, plain);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1696,7 +1826,7 @@ mod tests {
             ..EngineOptions::default()
         };
         let (result, _) = Engine::new(cfg, opts).run_corpus(&corpus, PhaseTiming::default());
-        let metrics = result.engine.as_ref().unwrap();
+        let metrics = result.engine;
         assert_eq!(metrics.cases_per_worker.len(), 4);
         assert_eq!(metrics.cases_per_worker.iter().sum::<usize>(), 24);
         assert_eq!(metrics.cases_total, 24);

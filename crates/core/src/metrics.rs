@@ -32,9 +32,8 @@ fn build_info(snap: &mut MetricsSnapshot) {
 /// Builds the full metrics snapshot for one finished campaign (or a
 /// single-case run routed through the engine).
 ///
-/// Engine-only series (worker balance, wall time) appear only when the
-/// result carries [`EngineMetrics`](crate::engine::EngineMetrics); deep
-/// microarchitectural series only when counters harvesting was on.
+/// Deep microarchitectural series appear only when counters harvesting
+/// was on.
 pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::new();
     build_info(&mut snap);
@@ -70,9 +69,7 @@ pub fn campaign_snapshot(result: &CampaignResult) -> MetricsSnapshot {
         );
     }
 
-    let Some(engine) = &result.engine else {
-        return snap;
-    };
+    let engine = &result.engine;
     snap.counter(
         "teesec_cases_quarantined_total",
         &[("design", design)],
@@ -601,7 +598,7 @@ mod tests {
         assert!(prom.contains("teesec_snapshot_cache_hits_total"));
         assert!(prom.contains("teesec_snapshot_cache_misses_total"));
         assert!(prom.contains("teesec_snapshot_cache_bypasses_total"));
-        let m = result.engine.unwrap().snapshot.expect("cache metrics on");
+        let m = result.engine.snapshot.expect("cache metrics on");
         assert_eq!((m.hits + m.misses + m.bypasses) as usize, result.case_count);
     }
 
@@ -620,11 +617,7 @@ mod tests {
         assert!(prom.contains("teesec_decode_cache_invalidations_total"));
         assert!(prom.contains("teesec_dirty_scan_checks_total"));
         assert!(prom.contains("teesec_dirty_scan_skips_total"));
-        let m = result
-            .engine
-            .unwrap()
-            .fastpath
-            .expect("fast path forced on");
+        let m = result.engine.fastpath.expect("fast path forced on");
         assert_eq!(m.cases, result.case_count);
         assert!(m.decode_hits > 0, "hot loops must hit the decode cache");
         assert!(m.scan_skips > 0, "stalled entries must skip rescans");
@@ -637,7 +630,7 @@ mod tests {
         });
         let snap = campaign_snapshot(&result);
         assert!(!snap.render_prometheus().contains("teesec_decode_cache"));
-        assert!(result.engine.unwrap().fastpath.is_none());
+        assert!(result.engine.fastpath.is_none());
     }
 
     #[test]
@@ -657,8 +650,6 @@ mod tests {
         assert!(prom.contains("teesec_plan_coverage_ratio{design=\"boom\"}"));
         let pc = result
             .engine
-            .as_ref()
-            .unwrap()
             .plan_coverage
             .as_ref()
             .expect("coverage was on");
@@ -757,6 +748,8 @@ mod tests {
         let snap = campaign_snapshot(&result);
         let prom = snap.render_prometheus();
         assert!(prom.contains("teesec_cases_total"));
+        // `run` is the 1-worker engine: engine series, no deep-obs ones.
+        assert!(prom.contains("teesec_engine_threads"));
         assert!(!prom.contains("teesec_structure_fills_total"));
     }
 }

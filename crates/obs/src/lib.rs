@@ -102,17 +102,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -528,23 +517,6 @@ mod tests {
         // octave: the estimate must land in [256, 1023].
         assert!((256..=1023).contains(&p50), "p50 = {p50}");
         assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [3u64, 14, 159, 2653] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [58u64, 979, 323846] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]

@@ -1,50 +1,88 @@
-//! Locks the engine to the serial reference: `Campaign::run` and
-//! `Campaign::run_engine` must produce identical `CampaignResult`s (and
-//! identical retained reports) at every worker count — timing and the
-//! engine-metrics attachment are the only permitted differences.
+//! Locks the engine to an independent serial reference. The reference runs
+//! each case through the public `runner::run_case` and `check_case` and
+//! builds the expected `CaseResult`s and the class union itself, sharing no
+//! code with the engine or its fold. `Campaign::run_engine` must reproduce
+//! it — and retain exactly `check_case`'s reports — at every worker count,
+//! and the production configuration must match the plain engine.
 
-use teesec::campaign::{CampaignResult, PhaseTiming};
+use std::collections::BTreeSet;
+
+use teesec::campaign::{CampaignResult, CaseResult};
+use teesec::checker::check_case;
 use teesec::engine::EngineOptions;
 use teesec::fuzz::Fuzzer;
+use teesec::report::{CheckReport, LeakClass};
+use teesec::runner::run_case;
 use teesec::Campaign;
-use teesec_uarch::CoreConfig;
+use teesec_uarch::{CoreConfig, RunExit};
 
 const CORPUS: usize = 40;
 
-/// Strips the fields the engine is allowed to change: wall-clock timing
-/// and its own metrics attachment.
-fn normalized(mut result: CampaignResult) -> CampaignResult {
-    result.timing = PhaseTiming::default();
-    result.engine = None;
-    result
+/// The expected per-case results, class union and reports of `cases`
+/// cases on `cfg`, computed one case at a time.
+fn reference(
+    cfg: &CoreConfig,
+    cases: usize,
+) -> (Vec<CaseResult>, BTreeSet<LeakClass>, Vec<CheckReport>) {
+    let mut results = Vec::new();
+    let mut classes = BTreeSet::new();
+    let mut reports = Vec::new();
+    for tc in Fuzzer::with_target(cases).generate(cfg) {
+        let outcome = run_case(&tc, cfg).expect("fuzzer cases build");
+        let report = check_case(&tc, &outcome, cfg);
+        classes.extend(report.classes());
+        results.push(CaseResult {
+            name: tc.name.clone(),
+            path: tc.path,
+            cycles: outcome.cycles,
+            halted: outcome.exit == RunExit::Halted,
+            classes: report.classes(),
+            finding_count: report.findings.len(),
+            error: None,
+        });
+        reports.push(report);
+    }
+    (results, classes, reports)
+}
+
+/// Asserts `result` is the reference's campaign.
+fn assert_matches_reference(
+    result: &CampaignResult,
+    cfg: &CoreConfig,
+    (cases, classes, _): &(Vec<CaseResult>, BTreeSet<LeakClass>, Vec<CheckReport>),
+    label: &str,
+) {
+    assert_eq!(result.design, cfg.name, "{label}");
+    assert_eq!(result.case_count, cases.len(), "{label}");
+    assert_eq!(&result.cases, cases, "{label}: per-case results diverged");
+    assert_eq!(
+        &result.classes_found, classes,
+        "{label}: class union diverged"
+    );
 }
 
 #[test]
 fn engine_matches_serial_at_1_2_and_7_threads() {
-    let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(CORPUS)).keep_reports();
-    let (serial, serial_reports) = campaign.run();
-    assert_eq!(serial.case_count, CORPUS);
+    let cfg = CoreConfig::boom();
+    let expected = reference(&cfg, CORPUS);
     assert!(
-        !serial.classes_found.is_empty(),
+        !expected.1.is_empty(),
         "reference corpus must uncover leaks for the comparison to be meaningful"
     );
-
+    let campaign = Campaign::new(cfg.clone(), Fuzzer::with_target(CORPUS));
     for threads in [1usize, 2, 7] {
-        let (engine, engine_reports) = campaign.run_engine(EngineOptions {
+        let (result, reports) = campaign.run_engine(EngineOptions {
             threads,
+            keep_reports: true,
             ..EngineOptions::default()
         });
-        let metrics = engine.engine.as_ref().expect("engine metrics attached");
-        assert_eq!(metrics.threads, threads);
-        assert_eq!(metrics.cases_total, CORPUS);
-        assert_eq!(metrics.cases_quarantined, 0);
+        assert_eq!(result.engine.threads, threads);
+        assert_eq!(result.engine.cases_total, CORPUS);
+        assert_eq!(result.engine.cases_quarantined, 0);
+        assert_eq!(result.engine.cases_per_worker.iter().sum::<usize>(), CORPUS);
+        assert_matches_reference(&result, &cfg, &expected, &format!("{threads} threads"));
         assert_eq!(
-            normalized(engine.clone()),
-            normalized(serial.clone()),
-            "engine at {threads} threads diverged from serial run"
-        );
-        assert_eq!(
-            engine_reports, serial_reports,
+            reports, expected.2,
             "retained reports diverged at {threads} threads"
         );
     }
@@ -55,32 +93,31 @@ fn engine_matches_serial_at_1_2_and_7_threads() {
 /// engine, down to the retained reports, and must actually use the cache.
 #[test]
 fn streaming_snapshot_engine_matches_batch_engine() {
-    let campaign = Campaign::new(CoreConfig::boom(), Fuzzer::with_target(CORPUS)).keep_reports();
+    let cfg = CoreConfig::boom();
+    let expected = reference(&cfg, CORPUS);
+    let campaign = Campaign::new(cfg.clone(), Fuzzer::with_target(CORPUS));
     let (batch, batch_reports) = campaign.run_engine(EngineOptions {
         threads: 4,
+        keep_reports: true,
         ..EngineOptions::default()
     });
-    assert!(batch.engine.as_ref().unwrap().snapshot.is_none());
+    assert!(batch.engine.snapshot.is_none());
+    assert_matches_reference(&batch, &cfg, &expected, "batch");
 
     let (streamed, streamed_reports) = campaign.run_engine(EngineOptions {
         threads: 4,
+        keep_reports: true,
         streaming: true,
         snapshot_cache: true,
         ..EngineOptions::default()
     });
-    assert_eq!(
-        normalized(streamed.clone()),
-        normalized(batch.clone()),
-        "streaming + snapshot-cache engine diverged from the batch engine"
-    );
+    assert_matches_reference(&streamed, &cfg, &expected, "streaming + snapshot cache");
     assert_eq!(
         streamed_reports, batch_reports,
         "retained reports diverged under streaming"
     );
     let cache = streamed
         .engine
-        .as_ref()
-        .unwrap()
         .snapshot
         .as_ref()
         .expect("snapshot metrics attached when the cache is on");
@@ -97,11 +134,12 @@ fn streaming_snapshot_engine_matches_batch_engine() {
 
 #[test]
 fn engine_matches_serial_on_second_design() {
-    let campaign = Campaign::new(CoreConfig::xiangshan(), Fuzzer::with_target(24));
-    let (serial, _) = campaign.run();
-    let (engine, _) = campaign.run_engine(EngineOptions {
-        threads: 3,
-        ..EngineOptions::default()
-    });
-    assert_eq!(normalized(engine), normalized(serial));
+    let cfg = CoreConfig::xiangshan();
+    let expected = reference(&cfg, 24);
+    let (result, _) =
+        Campaign::new(cfg.clone(), Fuzzer::with_target(24)).run_engine(EngineOptions {
+            threads: 3,
+            ..EngineOptions::default()
+        });
+    assert_matches_reference(&result, &cfg, &expected, "xiangshan at 3 threads");
 }

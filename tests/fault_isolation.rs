@@ -1,6 +1,6 @@
 //! Fault-isolation regression: one poisoned `TestCase` must not take down
-//! a campaign. The engine (and the serial reference) quarantine the broken
-//! case into `CaseResult::error` and keep reporting healthy classes.
+//! a campaign. The engine quarantines the broken case into
+//! `CaseResult::error` and keeps reporting healthy classes.
 
 use teesec::campaign::PhaseTiming;
 use teesec::engine::{Engine, EngineOptions};
@@ -76,7 +76,7 @@ fn engine_quarantines_broken_cases_and_finishes() {
     }
 
     // Metrics agree, and the healthy majority still found leaks.
-    let metrics = result.engine.as_ref().unwrap();
+    let metrics = result.engine;
     assert_eq!(metrics.cases_quarantined, 2);
     assert_eq!(metrics.cases_total, corpus.len());
     assert!(

@@ -42,7 +42,7 @@ fn instrumented_run_stays_within_a_sane_multiple() {
 
     assert_eq!(plain.case_count, instrumented.case_count);
     assert_eq!(plain.classes_found, instrumented.classes_found);
-    let obs = instrumented.engine.unwrap().obs.expect("obs collected");
+    let obs = instrumented.engine.obs.expect("obs collected");
     assert_eq!(obs.case_cycles.count(), corpus.len() as u64);
 
     // 10x + half a second of absolute slack: generous enough for CI

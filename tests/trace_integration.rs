@@ -197,7 +197,7 @@ fn traced_campaign_yields_nested_spans_joined_to_events_and_a_report() {
     );
 
     // The analyzed report landed in the campaign result.
-    let report = result.engine.unwrap().trace.expect("trace report attached");
+    let report = result.engine.trace.expect("trace report attached");
     assert_eq!(report.cases, 6);
     assert!(!report.critical_path.is_empty());
     assert!(report.stragglers.len() <= 5);
@@ -449,7 +449,7 @@ fn disabled_tracer_is_free_and_enabled_tracing_stays_bounded() {
 
     assert_eq!(plain.case_count, traced.case_count);
     assert_eq!(plain.classes_found, traced.classes_found);
-    assert!(traced.engine.unwrap().trace.is_some());
+    assert!(traced.engine.trace.is_some());
     let bound = plain_us * 10 + 500_000;
     assert!(
         traced_us <= bound,
